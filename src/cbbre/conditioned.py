@@ -27,7 +27,7 @@ from .errors import ParameterError, RegimeError
 from .longterm import (
     AsymptoticConstant,
     extinction_prob_exact_stable,
-    phi_eta_grid,
+    _phi_weights,
 )
 from .mechanisms import (
     ConditionedRegime,
@@ -109,14 +109,16 @@ def _build_u(env: EnvParams):
 
         return lambda z: _chunked_rows(rows, np.maximum(np.asarray(z, float), 0.0))
     if reg is SurvivalRegime.WEAKLY_SUBCRITICAL:
-        v, wv = gl_panels(np.geomspace(1e-9, 80.0 + 10.0 * eta, 240), 16)
-        phi = phi_eta_grid(v, eta)
-        weight = wv * phi
+        v, weight = _phi_weights(eta)
         pref = 8.0 / (b**3 * s**3)
 
         def rows(zz):
-            arg = kk * np.outer(zz**b, v) ** (1.0 / b)
-            return pref * (-np.expm1(-arg) @ weight)
+            arg = np.outer(zz**b, v)
+            if b != 1.0:  # x**1.0 is x: skip the pass
+                arg **= 1.0 / b
+            arg *= kk
+            np.expm1(np.negative(arg, out=arg), out=arg)
+            return pref * -(arg @ weight)
 
         return lambda z: _chunked_rows(rows, np.maximum(np.asarray(z, float), 0.0))
     if reg is SurvivalRegime.INTERMEDIATELY_SUBCRITICAL:
@@ -271,8 +273,7 @@ def asympt_conditioned_constant(z: float, env: EnvParams) -> AsymptoticConstant:
         ae = abs(eta)
         x, wx = gl_panels(np.geomspace(1e-10, 60.0 + 12.0 * ae, 200), 12)
         wx = wx * x ** (ae - 1.0) * np.exp(-x)
-        y, wy = gl_panels(np.geomspace(1e-9, 80.0 + 10.0 * ae, 200), 12)
-        wy = wy * phi_eta_grid(y, ae)
+        y, wy = _phi_weights(ae)
         H = h_fn(z**b * x[:, None], z**b * y[None, :], kk, b)
         const = 8.0 / (b**3 * s**3 * special.gamma(ae) * ustar) * float(wx @ H @ wy)
         return AsymptoticConstant(reg.value, 1.5, env.m**2 / (2.0 * s**2), const, "quadrature")

@@ -198,13 +198,20 @@ class ExpFunctional:
 def log_exp_functional(grid, values, theta: float):
     """log int_0^T exp(theta * K_s) ds by trapezoid in log space.
 
-    ``values`` may be a matrix of paths (one row per path).
+    ``values`` may be a matrix of paths (one row per path).  Each row is
+    scaled by its largest term, so one exp per point suffices.
     """
     g = np.asarray(grid, float)
     V = np.atleast_2d(np.asarray(values, float)) * theta
-    dt = np.diff(g)
-    seg = np.logaddexp(V[:, :-1], V[:, 1:]) + np.log(0.5 * dt)
-    out = special.logsumexp(seg, axis=1)
+    half = 0.5 * np.diff(g)
+    w = np.zeros(g.size)  # trapezoid node weights
+    w[:-1] += half
+    w[1:] += half
+    top = V.max(axis=1)
+    top = np.where(np.isfinite(top), top, 0.0)
+    V -= top[:, None]
+    np.exp(V, out=V)
+    out = np.log(V @ w) + top
     return out if np.ndim(values) == 2 else float(out[0])
 
 
@@ -234,6 +241,7 @@ def dufresne_law(eta: float) -> float:
 # ---------------------------------------------------------------------------
 
 _P_CLAMP = 1e-12  # matches the validated accuracy of the confluent kernel
+_P_BLOCK = 1 << 18  # kernel evaluations per block of points
 
 
 def _xi_rule(nu: float, panel_width: float = 0.5, order: int = 16):
@@ -280,11 +288,15 @@ def my_density_grid(x, nu: float, eta: float):
     )
     xi, w = _xi_rule(nu)
     osc = w * np.exp(-(xi**2) / (2.0 * nu)) * np.sinh(xi) * np.sin(np.pi * xi / nu)
-    W = np.outer(x, np.cosh(xi) ** 2)
-    B = u_half_diff(a, W.ravel()).reshape(W.shape)
-    J = B @ osc
-    noise = (np.abs(B) @ np.abs(osc)) * _P_CLAMP
-    J = np.where(np.abs(J) > noise, np.maximum(J, 0.0), 0.0)
+    c2 = np.cosh(xi) ** 2
+    J = np.empty_like(x)
+    noise = np.empty_like(x)
+    rows = max(1, _P_BLOCK // xi.size)
+    for i in range(0, x.size, rows):
+        B = u_half_diff(a, np.outer(x[i:i + rows], c2))
+        J[i:i + rows] = B @ osc
+        noise[i:i + rows] = np.abs(B) @ np.abs(osc)
+    J = np.where(np.abs(J) > noise * _P_CLAMP, np.maximum(J, 0.0), 0.0)
     return np.exp(logC - x - a * np.log(x)) * J
 
 
@@ -406,6 +418,16 @@ def hw_marginal_expectation(func: Callable, nu: float, eta: float,
 # ---------------------------------------------------------------------------
 
 
+def _brownian_rows(gen, m: int, grid):
+    """m Brownian paths on a uniform grid, one row each, starting at 0."""
+    n_steps = grid.size - 1
+    B = np.empty((m, n_steps + 1))
+    B[:, 0] = 0.0
+    inc = gen.normal(0.0, math.sqrt(grid[-1] / n_steps), size=(m, n_steps))
+    np.cumsum(inc, axis=1, out=B[:, 1:])
+    return B
+
+
 def mc_log_exp_functionals(eta: float, t: float, n: int, n_steps: int,
                            seed: int, chunk: int | None = None):
     """Samples of log I_t^(eta) = log int_0^t exp(2(eta s + B_s)) ds."""
@@ -415,9 +437,9 @@ def mc_log_exp_functionals(eta: float, t: float, n: int, n_steps: int,
     grid = np.linspace(0.0, t, n_steps + 1)
     done = 0
     for gen, m in _rng.chunk_streams(seed, n, chunk):
-        inc = gen.normal(0.0, math.sqrt(t / n_steps), size=(m, n_steps))
-        B = np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
-        out[done:done + m] = log_exp_functional(grid, eta * grid[None, :] + B, 2.0)
+        B = _brownian_rows(gen, m, grid)
+        B += eta * grid
+        out[done:done + m] = log_exp_functional(grid, B, 2.0)
         done += m
     return out
 
@@ -472,8 +494,7 @@ def lemma1_moments(eta: float, p: float, t: float, n_mc: int = 100_000,
     prod_b = np.empty(n_mc)
     done = 0
     for gen, m in _rng.chunk_streams(seed, n_mc, chunk):
-        inc = gen.normal(0.0, math.sqrt(t / n_steps), size=(m, n_steps))
-        B = np.concatenate([np.zeros((m, 1)), np.cumsum(inc, axis=1)], axis=1)
+        B = _brownian_rows(gen, m, grid)
         li_eta = log_exp_functional(grid, eta * grid[None, :] + B, 2.0)
         li_mirror = log_exp_functional(grid, mirror * grid[None, :] + B, 2.0)
         gh = grid[: half + 1]

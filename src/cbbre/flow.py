@@ -184,11 +184,11 @@ def solve_backward_batch(mech: Mechanism, lam: float, t: float, grid, values,
                 break
             n_sub *= 2
         v = v2
-        if np.any(~np.isfinite(v)) or np.any(v > V_BLOWUP):
+        if not np.isfinite(v).all() or (v > V_BLOWUP).any():
             blowup = float(s_lo)
             out[:, : j + 1] = np.inf
             break
-        if np.any(v < -tol * 10):
+        if (v < -tol * 10).any():
             raise SolverError(f"negative excursion at s = {s_lo:.6g}")
         v = np.where(np.abs(v) < V_FLOOR, 0.0, np.maximum(v, 0.0))
         out[:, j] = v

@@ -35,7 +35,7 @@ from .mechanisms import (
     SurvivalRegime,
     classify_regime,
 )
-from .numerics import gamma_power_laplace, gl_panels
+from .numerics import gamma_power_laplace, gl_panels, u_half
 
 __all__ = [
     "survival_prob",
@@ -62,15 +62,20 @@ __all__ = [
 
 def _mc_log_a(env: EnvParams, t: float, n_paths: int, n_steps: int, seed: int):
     """log A_t over sampled environments (exact-linear segment integration)."""
-    grid, K = sample_env_paths(env.sigma, env.m, t, n_steps, seed, n_paths)
-    # log-space exact segment integrals of exp(-beta*K0)
-    W = -env.beta * K
+    grid, W = sample_env_paths(env.sigma, env.m, t, n_steps, seed, n_paths)
+    # exact segment integrals of exp(W), W = -beta*K0: dt e^W_i expm1(dw)/dw,
+    # each row scaled by its largest e^W_i
+    W *= -env.beta
     dw = np.diff(W, axis=1)
-    dt = np.diff(grid)
-    with np.errstate(divide="ignore"):
-        ratio = np.where(np.abs(dw) > 1e-8, np.expm1(dw) / np.where(dw == 0, 1.0, dw), 1.0 + 0.5 * dw)
-    seg_log = W[:, :-1] + np.log(dt) + np.log(ratio)
-    return special.logsumexp(seg_log, axis=1)
+    small = np.abs(dw) <= 1e-8
+    ratio = np.expm1(dw)
+    np.divide(ratio, dw, out=ratio, where=~small)
+    ratio[small] = 1.0 + 0.5 * dw[small]
+    top = W[:, :-1].max(axis=1)
+    np.subtract(W[:, :-1], top[:, None], out=dw)
+    np.exp(dw, out=dw)
+    dw *= ratio
+    return np.log(dw @ np.diff(grid)) + top
 
 
 def _default_steps(t: float) -> int:
@@ -209,55 +214,80 @@ def extinction_bounds(z: float, env: EnvParams, gamma2: float,
 # phi_eta and the regime constants
 # ---------------------------------------------------------------------------
 
-_PHI_CACHE: dict = {}
+_PHI_XI_PANEL = 2.0  # xi panel width; 16 nodes a panel
+_PHI_BLOCK = 1 << 18  # kernel evaluations per block of v
 
 
-def _phi_xi_rule(eta: float):
-    # integrand tail ~ xi e^{-eta xi}: truncate where it is < 1e-16 of peak
-    ximax = (40.0 + 4.0 * math.log1p(1.0 / eta)) / eta + 2.0 / eta + 2.0
-    width = min(0.5, ximax / 24.0)
-    return gl_panels(np.arange(0.0, ximax + width, width), 16)
+def _phi_xi_rule(eta: float, v_min: float, width: float):
+    # the integrand rises like xi e^xi while v cosh^2 xi < 1, then falls
+    # like xi e^{-eta xi}: truncate where it is < 1e-16 of its peak
+    rise = max(0.0, 0.5 * math.log(4.0 / v_min))
+    ximax = rise + (40.0 + 4.0 * math.log1p(1.0 / eta)) / eta + 2.0 / eta + 2.0
+    if ximax > 350.0:  # cosh^2 xi overflows beyond ~355
+        raise RegimeError(f"phi_eta: eta = {eta} needs xi up to {ximax:.0f}, "
+                          "beyond double precision")
+    n = int(math.ceil(ximax / width))
+    return gl_panels(np.linspace(0.0, n * width, n + 1), 16)
 
 
-def phi_eta_grid(v, eta: float, n_lag: int = 96):
-    """phi_eta on an array of points by the tensor rule.
-
-    Generalized Gauss-Laguerre (weight u^{(eta-1)/2} e^{-u}) in u crossed
-    with Gauss-Legendre panels in xi, truncated where the integrand has
-    decayed to ~1e-16 of its peak.
-    """
+def _phi_eta_rule(v, eta: float, width: float):
     if eta <= 0:
         raise ParameterError("phi_eta requires eta > 0")
     v = np.asarray(v, float)
-    key = (round(eta, 12), n_lag)
-    if key not in _PHI_CACHE:
-        u, wu = special.roots_genlaguerre(n_lag, 0.5 * (eta - 1.0))
-        xi, wx = _phi_xi_rule(eta)
-        _PHI_CACHE[key] = (u, wu, xi, wx * np.sinh(xi) * np.cosh(xi) * xi)
-    u, wu, xi, wxs = _PHI_CACHE[key]
-    pref = special.gamma(0.5 * (eta + 2.0)) / (math.sqrt(2.0) * np.pi) * np.exp(-v) * v ** (-0.5 * eta)
+    a = 0.5 * (eta + 1.0)
+    xi, wx = _phi_xi_rule(eta, float(v.min(initial=1.0)), width)
+    wx = wx * xi * np.sinh(xi)
     c2 = np.cosh(xi) ** 2
     out = np.empty_like(v)
-    chunk = max(1, int(2e6 / (u.size * xi.size)))
-    for i0 in range(0, v.size, chunk):
-        vv = v[i0:i0 + chunk, None, None]
-        M = (u[None, :, None] + vv * c2[None, None, :]) ** (-0.5 * (eta + 2.0))
-        out[i0:i0 + chunk] = np.einsum("j,ijk,k->i", wu, M, wxs)
-    return pref * out
+    rows = max(1, _PHI_BLOCK // xi.size)
+    for i in range(0, v.size, rows):
+        out[i:i + rows] = u_half(a, np.outer(v[i:i + rows], c2)) @ wx
+    pref = special.gamma(0.5 * (eta + 2.0)) * special.gamma(a) / (math.sqrt(2.0) * np.pi)
+    return pref * np.exp(-v) * v ** (-a) * out
+
+
+def phi_eta_grid(v, eta: float):
+    """phi_eta on an array of points.
+
+    With a = (eta+1)/2, the inner integral of the defining double integral
+    is a confluent kernel by DLMF 13.4.4, which leaves
+
+        phi_eta(v) = Gamma((eta+2)/2) Gamma(a) / (sqrt(2) pi) e^{-v} v^{-a}
+                     int_0^inf xi sinh(xi) U(a, 1/2, v cosh^2 xi) dxi,
+
+    evaluated on Gauss-Legendre panels in xi, truncated where the integrand
+    has decayed to ~1e-16 of its peak.
+    """
+    return _phi_eta_rule(v, eta, _PHI_XI_PANEL)
 
 
 def phi_eta(v: float, eta: float) -> float:
-    """The weakly-regime spectral weight at a single point (positive)."""
-    vals = [phi_eta_grid(np.array([v]), eta, n)[0] for n in (96, 144)]
+    """The weakly-regime spectral weight at a single point (positive).
+
+    Checked against the same rule with its xi panels halved.
+    """
+    vals = [_phi_eta_rule([v], eta, w)[0]
+            for w in (_PHI_XI_PANEL, 0.5 * _PHI_XI_PANEL)]
     if abs(vals[1] - vals[0]) > 1e-8 * max(1.0, abs(vals[1])):
         raise RegimeError(f"phi_eta quadrature unstable at v={v}, eta={eta}: {vals}")
     return float(vals[1])
 
 
+def _phi_weights(eta: float):
+    """Nodes v and weights w_i phi_eta(v_i) of the weakly-regime rule on
+    (0, infinity): int f(v) phi_eta(v) dv ~ sum f(v_i) weights_i.
+
+    The log-spaced panels reach down to v = 1e-30; a cut at 1e-9 alone
+    leaves the constants ~1e-6 low.
+    """
+    v, w = gl_panels(np.geomspace(1e-30, 80.0 + 10.0 * eta, 120), 16)
+    return v, w * phi_eta_grid(v, eta)
+
+
 def _phi_functional(func, eta: float) -> float:
-    """int func(v) phi_eta(v) dv on a cached log grid."""
-    v, w = gl_panels(np.geomspace(1e-9, 80.0 + 10.0 * eta, 240), 16)
-    return float(np.sum(w * func(v) * phi_eta_grid(v, eta)))
+    """int func(v) phi_eta(v) dv."""
+    v, w = _phi_weights(eta)
+    return float(np.sum(w * func(v)))
 
 
 def critical_constant_integral(q: float, beta: float) -> float:

@@ -225,7 +225,7 @@ def mechanism_drift(mech: Mechanism) -> float:
 def eval_psi(mech: Mechanism, u):
     """Evaluate the branching mechanism psi(u), u >= 0 (vectorized)."""
     u = np.asarray(u, float)
-    if np.any(u < 0):
+    if (u < 0).any():
         raise ParameterError("psi is defined on u >= 0 only")
     if isinstance(mech, Neveu):
         out = np.where(u > 0, u * np.log(np.where(u > 0, u, 1.0)), 0.0)
@@ -262,7 +262,7 @@ def psi_prime_at_zero(mech: Mechanism) -> float:
 def eval_psi0(mech: Mechanism, u):
     """psi0(u) = psi(u) - psi'(0+)*u, the drift-free part of the mechanism."""
     u = np.asarray(u, float)
-    if np.any(u < 0):
+    if (u < 0).any():
         raise ParameterError("psi0 is defined on u >= 0 only")
     if isinstance(mech, Feller):
         out = mech.gamma2 * u**2

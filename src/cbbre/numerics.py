@@ -3,20 +3,21 @@
 Three things live here because several modules need them:
 
 * composite Gauss-Legendre panel rules (`gl_panels`),
-* a fast vectorized confluent kernel ``U(a, 1/2, w)`` for half-integer ``2a``
-  (`u_half`), together with the cancellation-free difference
+* a fast vectorized confluent kernel ``U(a, 1/2, w)`` for every
+  ``0 < a <= 4`` (`u_half`), together with the cancellation-free difference
   ``U(a,1/2,w) - U(a,1/2,0)`` (`u_half_diff`) that the oscillatory density
-  integrals require at tiny arguments,
+  integrals require at tiny arguments; the density of 1/(2 I_nu^(eta)) and
+  phi_eta both reduce to it with a = (eta+1)/2,
 * Gamma-power Laplace transforms ``E[exp(-theta * G^power)]`` for a Gamma
   variable ``G``, evaluated by generalized Gauss-Laguerre with order
   escalation (`gamma_power_laplace`, `gamma_power_expectation`).
 
-The confluent kernel is a three-zone hybrid: an erfcx-seeded contiguous
-recurrence for small ``w`` (the recurrence runs in its stable zone only), a
-Chebyshev fit of a log-transformed Laplace-integral quadrature in the middle,
-and the divergent 2F0 asymptotic series truncated at its smallest term for
-large ``w``.  Accuracy is ~1e-12 relative for 2a <= 6; callers with
-non-half-integer ``a`` fall back to ``scipy.special.hyperu``.
+The confluent kernel has three zones in w: the Kummer connection series
+for small ``w``, a piecewise Chebyshev fit of log U in log w (built once per
+``a`` from a Laplace-integral quadrature) in the middle, and the divergent
+2F0 asymptotic series for large ``w``.  Both series stop at the terms each
+band of ``w`` needs.  Accuracy is ~1e-13 relative; other ``a`` fall back to
+``scipy.special.hyperu``.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from scipy import special
 
 __all__ = [
     "gl_panels",
-    "log_panel_edges",
     "u_half",
     "u_half_diff",
     "has_fast_kernel",
@@ -55,125 +55,163 @@ def gl_panels(edges, order: int = 16):
     return nodes, weights
 
 
-def log_panel_edges(lo: float, hi: float, per_decade: float = 6.0):
-    """Geometric panel edges from lo to hi (both > 0)."""
-    n = max(2, int(np.ceil(per_decade * np.log10(hi / lo))) + 1)
-    return np.geomspace(lo, hi, n)
-
-
 # ---------------------------------------------------------------------------
 # Confluent hypergeometric kernel U(a, 1/2, w)
 # ---------------------------------------------------------------------------
 
-_LADDER_MAX_W = 6.0  # forward recurrence loses digits beyond this
-_CHEB_CACHE: dict[int, "np.polynomial.chebyshev.Chebyshev"] = {}
+_KERNEL_MAX_A = 4.0
+_SERIES_MAX_W = 0.45  # Kummer series below, fitted log U above
+_FIT_PANEL = 0.25     # panel width in log w of the piecewise fit
+_FIT_DEGREE = 8
+_N_TERMS = 40         # terms held per series; either zone needs at most 18
+_TERM_EPS = 1e-17     # a series term below this share of the value is dropped
+_KERNEL_CACHE: dict[float, "_Kernel"] = {}
 
 
 def _wlim(a: float) -> float:
+    # start of the asymptotic zone: the 2F0 terms fall below _TERM_EPS
+    # within _N_TERMS there
     return 60.0 + 8.0 * a * a
 
 
-def _u_asymptotic(a, w, kmax=40):
-    # w^-a 2F0(a, a+1/2;; -1/w), truncated at the smallest term
-    acc = np.ones_like(w)
-    term = np.ones_like(w)
-    best = np.abs(term)
-    for k in range(1, kmax):
-        term = term * (-(a + k - 1) * (a + 0.5 + k - 1) / (k * w))
-        mag = np.abs(term)
-        stop = mag >= best
-        term = np.where(stop, 0.0, term)
-        best = np.where(stop, best, mag)
-        acc = acc + term
-    return w ** (-a) * acc
+class _Kernel:
+    """Everything U(a, 1/2, .) needs for one a: the term coefficients and
+    band cuts of both series, and the piecewise fit between them."""
+
+    def __init__(self, a: float):
+        self.a = a
+        k = np.arange(1, _N_TERMS + 1)
+        self.u0 = SQRT_PI / special.gamma(a + 0.5)
+        self.u1 = 2.0 * SQRT_PI / special.gamma(a)
+        # Kummer connection formula (DLMF 13.2.42) at b = 1/2:
+        #   U - u0 = u0 sum_k c1_k w^k - u1 sqrt(w) (1 + sum_k c2_k w^k),
+        # and |U - u0| >= u1 sqrt(w)/3 for w < _SERIES_MAX_W, a <= 4, so
+        # term k is needed only where w exceeds kummer_cuts[k-1]
+        self.c1 = np.cumprod((a + k - 1.0) / ((k - 0.5) * k))
+        self.c2 = np.cumprod((a + k - 0.5) / ((k + 0.5) * k))
+        tol = _TERM_EPS / 3.0
+        cuts = np.minimum((tol * self.u1 / (self.u0 * self.c1)) ** (1.0 / (k - 0.5)),
+                          (tol / self.c2) ** (1.0 / k))
+        self.kummer_cuts = np.maximum.accumulate(cuts)
+        # asymptotic 2F0(a, a+1/2;; -1/w): term k is (-1)^k d_k / w^k and is
+        # needed only where w is below a cut that falls with k (stored
+        # ascending, so the last cut belongs to term 1)
+        self.d = np.cumprod((a + k - 1.0) * (a + k - 0.5) / k)
+        cuts = np.minimum.accumulate((self.d / _TERM_EPS) ** (1.0 / k))
+        self.asym_cuts = cuts[::-1]
+        self.poly = None  # the fit is built on first use
+
+    def _fit(self):
+        # log(w^a U) in u = log w on equal panels between the series and the
+        # asymptotic zone, from the Laplace-integral quadrature; each panel
+        # holds the monomial coefficients of its Chebyshev interpolant in
+        # the local variable t in [-1, 1]
+        lo, hi = np.log(_SERIES_MAX_W), np.log(_wlim(self.a))
+        n = int(np.ceil((hi - lo) / _FIT_PANEL))
+        h = (hi - lo) / n
+        x = np.cos(np.pi * (np.arange(_FIT_DEGREE + 1) + 0.5) / (_FIT_DEGREE + 1))
+        u = lo + h * (np.arange(n)[:, None] + 0.5 * (x + 1.0))
+        f = np.log(_u_quad_logt(self.a, np.exp(u.ravel()))) + self.a * u.ravel()
+        cheb = np.polynomial.chebyshev
+        c = cheb.chebfit(x, f.reshape(n, -1).T, _FIT_DEGREE)
+        self.poly = np.array([cheb.cheb2poly(c[:, j]) for j in range(n)]).T
+        self.fit_lo, self.fit_scale, self.n_panels = lo, 1.0 / h, n
+
+    def fitted(self, w):
+        if self.poly is None:
+            self._fit()
+        u = np.log(w)
+        s = (u - self.fit_lo) * self.fit_scale
+        idx = np.minimum(s.astype(np.intp), self.n_panels - 1)
+        t = 2.0 * (s - idx) - 1.0
+        acc = self.poly[-1][idx]
+        for p in self.poly[-2::-1]:
+            acc *= t
+            acc += p[idx]
+        return np.exp(acc - self.a * u)
+
+    def kummer_diff(self, w):
+        # U(a,1/2,w) - u0
+        m1, m2 = _power_sums(w, np.searchsorted(self.kummer_cuts, w), (self.c1, self.c2))
+        return self.u0 * m1 - self.u1 * np.sqrt(w) * (1.0 + m2)
+
+    def asymptotic(self, w):
+        # w^-a 2F0(a, a+1/2;; -1/w)
+        n = _N_TERMS - np.searchsorted(self.asym_cuts, w, side="right")
+        (s,) = _power_sums(-1.0 / w, n, (self.d,))
+        return np.exp(-self.a * np.log(w)) * (1.0 + s)
 
 
-def _u_ladder(a, ws):
-    # contiguous recurrence in a, seeded by erfcx closed forms; stable for
-    # small w only
-    n2 = int(round(2 * a))
-    rw = np.sqrt(ws)
-    if n2 % 2 == 0:
-        m = n2 // 2
-        u_prev = np.ones_like(ws)  # a = 0
-        if m == 0:
-            return u_prev
-        u_cur = 2.0 * (1.0 - SQRT_PI * rw * special.erfcx(rw))  # a = 1
-        aa = 1.0
-    else:
-        m = (n2 - 1) // 2
-        u_prev = SQRT_PI * special.erfcx(rw)  # a = 1/2
-        if m == 0:
-            return u_prev
-        # U(3/2,1/2,w) = sqrt(w) U(2,3/2,w), with U(2,3/2,w) from the b=3/2
-        # ladder seeded at U(1,3/2,w) = sqrt(pi/w) erfcx(sqrt(w))
-        u1_32 = SQRT_PI / rw * special.erfcx(rw)
-        u_cur = rw * 2.0 * ((ws + 0.5) * u1_32 - 1.0)
-        aa = 1.5
-    for _ in range(m - 1):
-        u_prev, u_cur = u_cur, ((2 * aa - 0.5 + ws) * u_cur - u_prev) / (aa * (aa + 0.5))
-        aa += 1.0
-    return u_cur
+def _power_sums(x, n_terms, coefs):
+    """sum_{k=1}^{n_terms[i]} c[k-1] x_i^k for each coefficient row c.
+
+    Points are grouped by the number of terms they need, so term k runs
+    only on the points that need it rather than on all of them under a
+    mask.
+    """
+    n_terms = n_terms.astype(np.int8)  # small keys: numpy sorts them in linear time
+    order = np.argsort(n_terms, kind="stable")
+    starts = np.searchsorted(n_terms[order], np.arange(1, n_terms.max(initial=0) + 1))
+    xs = x[order]
+    p = np.ones_like(xs)
+    sums = np.zeros((len(coefs), xs.size))
+    for k, s in enumerate(starts):
+        p[s:] *= xs[s:]
+        for row, c in zip(sums, coefs):
+            row[s:] += c[k] * p[s:]
+    out = np.empty_like(sums)
+    out[:, order] = sums
+    return out
 
 
 def _u_quad_logt(a, w):
-    # Laplace integral of DLMF 13.4.4 on a log grid; slow but uniformly
-    # accurate in the mid zone
-    u, uw = gl_panels(np.arange(-48.0, 8.0 + 1e-9, 0.4), 16)
+    # Laplace integral of DLMF 13.4.4 in log t; below t = e^-48 the integrand
+    # is t^(a-1) to double precision, which integrates to e^(-48 a)/a
+    lo = -48.0
+    u, uw = gl_panels(np.arange(lo, 8.0 + 1e-9, 0.4), 16)
     t = np.exp(u)
     base = a * u - np.log1p(t) * (a + 0.5)
     E = np.exp(base[None, :] - np.outer(np.asarray(w, float), t))
-    return (E @ uw) / special.gamma(a)
+    return (E @ uw + np.exp(a * lo) / a) / special.gamma(a)
 
 
-def _u_cheb(n2: int):
-    if n2 not in _CHEB_CACHE:
-        a = 0.5 * n2
-
-        def f(u):
-            return np.log(_u_quad_logt(a, np.exp(u)) * np.exp(a * u))
-
-        _CHEB_CACHE[n2] = np.polynomial.chebyshev.Chebyshev.interpolate(
-            f, 140, domain=[np.log(_LADDER_MAX_W) - 0.02, np.log(_wlim(a)) + 0.05]
-        )
-    return _CHEB_CACHE[n2]
+def _kernel(a: float) -> _Kernel:
+    a = float(a)
+    if a not in _KERNEL_CACHE:
+        _KERNEL_CACHE[a] = _Kernel(a)
+    return _KERNEL_CACHE[a]
 
 
 def has_fast_kernel(a: float) -> bool:
-    """True when u_half has a validated fast path for this a."""
-    n2 = 2.0 * a
-    return abs(n2 - round(n2)) < 1e-9 and 0 <= round(n2) <= 6
+    """True when u_half evaluates U(a, 1/2, .) itself rather than by scipy."""
+    return 0.0 < a <= _KERNEL_MAX_A
 
 
 def u_half(a: float, w):
-    """U(a, 1/2, w) for w > 0, vectorized.
+    """U(a, 1/2, w) for w >= 0, vectorized.
 
-    Fast three-zone evaluation when ``2a`` is an integer in [0, 6] (relative
-    error <= ~1e-12); otherwise defers to scipy's hyperu.
+    For 0 < a <= 4 the value is, by band of w: the Kummer connection series
+    below w = 0.45, a piecewise Chebyshev fit of log U in log w (built once
+    per ``a`` from the Laplace integral) up to 60 + 8a^2, and the 2F0
+    asymptotic series beyond.  Each series stops at the terms its band of w
+    needs.  The relative error is below ~1e-13.  Other ``a`` go to scipy's
+    hyperu.
     """
     w = np.asarray(w, float)
     if not has_fast_kernel(a):
         return special.hyperu(a, 0.5, w)
-    n2 = int(round(2 * a))
+    k = _kernel(a)
     out = np.empty_like(w)
-    wlim = _wlim(a)
-    lo = w < _LADDER_MAX_W
-    hi = w >= wlim
-    mid = ~lo & ~hi
-    if np.any(lo):
-        out[lo] = _u_ladder(a, w[lo])
+    small = w < _SERIES_MAX_W
+    big = w >= _wlim(a)
+    mid = ~small & ~big
+    if np.any(small):
+        out[small] = k.u0 + k.kummer_diff(w[small])
     if np.any(mid):
-        if n2 <= 1:
-            out[mid] = _u_ladder(a, w[mid])  # seeds are exact at any w
-        else:
-            lw = np.log(w[mid])
-            out[mid] = np.exp(_u_cheb(n2)(lw) - a * lw)
-    if np.any(hi):
-        out[hi] = _u_asymptotic(a, w[hi])
+        out[mid] = k.fitted(w[mid])
+    if np.any(big):
+        out[big] = k.asymptotic(w[big])
     return out
-
-
-_DIFF_SERIES_MAX_W = 0.45
 
 
 def u_half_diff(a: float, w):
@@ -184,24 +222,14 @@ def u_half_diff(a: float, w):
     difference as an explicit series there.
     """
     w = np.asarray(w, float)
-    u0 = SQRT_PI / special.gamma(a + 0.5)
+    k = _kernel(a)
     out = np.empty_like(w)
-    small = w < _DIFF_SERIES_MAX_W
+    small = w < _SERIES_MAX_W
     if np.any(small):
-        ws = w[small]
-        m1 = np.zeros_like(ws)
-        t1 = np.ones_like(ws)
-        m2 = np.ones_like(ws)
-        t2 = np.ones_like(ws)
-        for k in range(1, 24):
-            t1 = t1 * (a + k - 1) / ((k - 0.5) * k) * ws
-            m1 += t1
-            t2 = t2 * (a + k - 0.5) / ((k + 0.5) * k) * ws
-            m2 += t2
-        out[small] = SQRT_PI * m1 / special.gamma(a + 0.5) - 2.0 * SQRT_PI * np.sqrt(ws) * m2 / special.gamma(a)
+        out[small] = k.kummer_diff(w[small])
     big = ~small
     if np.any(big):
-        out[big] = u_half(a, w[big]) - u0
+        out[big] = u_half(a, w[big]) - k.u0
     return out
 
 

@@ -70,6 +70,9 @@ class SimConfig:
             raise ParameterError("dt and eps_jump must be positive")
         if self.m_expl <= 0:
             raise ParameterError("explosion threshold must be positive")
+        if self.scheme != "euler-full-truncation":
+            raise ParameterError(f"unknown simulation scheme {self.scheme!r}; "
+                                 "the only scheme is 'euler-full-truncation'")
 
 
 @dataclass(frozen=True)
@@ -315,6 +318,9 @@ def _imm_steppers(imm: ImmigrationMechanism | None, eps: float):
     return drift, None
 
 
+_STEP_BLOCK = 8  # steps of driving noise transposed at a time
+
+
 def _run_chunk(mech, sigma, z0, T, cfg, n, gen, record_idx, imm,
                driving=None):
     alpha, gamma2, flavor, mean_growth = _mech_coeffs(mech)
@@ -347,10 +353,23 @@ def _run_chunk(mech, sigma, z0, T, cfg, n, gen, record_idx, imm,
         all_dBe = gen.normal(0.0, sq_dt, (n, n_steps))
     else:
         all_dB, all_dBe = driving
+    # live: neither exploded nor (when zero absorbs) absorbed.  Paths only
+    # ever leave it, so it is updated in place, and while every path is live
+    # the masking below is skipped: it would leave every value unchanged
+    live = np.isnan(t_inf) & np.isnan(t0)
+    all_live = bool(live.all())
     for step_i in range(1, n_steps + 1):
-        live = np.isnan(t_inf) & np.isnan(t0) if absorbing else np.isnan(t_inf)
-        zp = np.where(live, np.maximum(z, 0.0), 0.0)  # frozen paths: no flow
-        dB, dBe = all_dB[:, step_i - 1], all_dBe[:, step_i - 1]
+        b = (step_i - 1) % _STEP_BLOCK
+        if b == 0:
+            # the draws are stored path by path; a block of steps is copied
+            # step by step so that each step reads contiguous memory
+            cols = slice(step_i - 1, step_i - 1 + _STEP_BLOCK)
+            blk_B = np.ascontiguousarray(all_dB[:, cols].T)
+            blk_Be = np.ascontiguousarray(all_dBe[:, cols].T)
+        dB, dBe = blk_B[b], blk_Be[b]
+        zp = np.maximum(z, 0.0)
+        if not all_live:
+            zp = np.where(live, zp, 0.0)  # frozen paths: no flow
         dz = alpha * zp * dt + sigma * zp * dBe
         if gamma2 > 0:
             dz = dz + np.sqrt(2.0 * gamma2 * zp) * dB
@@ -359,18 +378,29 @@ def _run_chunk(mech, sigma, z0, T, cfg, n, gen, record_idx, imm,
         if imm_step is not None:
             dz = dz + imm_step(gen, n, dt)
         dz = dz + imm_drift * dt
-        z_new = np.where(live, np.maximum(z + dz, 0.0), z)
+        z_new = np.maximum(z + dz, 0.0)
+        if not all_live:
+            z_new = np.where(live, z_new, z)
         k_env = k_env + k_drift * dt + sigma * dBe
         t_now = step_i * dt
-        boom = live & (~np.isfinite(z_new) | (z_new > cfg.m_expl))
-        if np.any(boom):
+        # NaN, +inf and values above the threshold all fail z <= m_expl
+        boom = ~(z_new <= cfg.m_expl)
+        if not all_live:
+            boom &= live
+        if boom.any():
             t_inf[boom] = t_now
             z_new[boom] = np.inf
+            live &= ~boom
+            all_live = False
         if absorbing:
-            dead = live & ~boom & (z_new < cfg.eps_abs)
-            if np.any(dead):
+            dead = z_new < cfg.eps_abs  # exploded paths sit at +inf
+            if not all_live:
+                dead &= live
+            if dead.any():
                 t0[dead] = t_now
                 z_new[dead] = 0.0
+                live &= ~dead
+                all_live = False
         z = z_new
         if step_i in rec_map:
             j = rec_map[step_i]

@@ -369,7 +369,9 @@ _FIRST_RUN: dict = {}
 
 
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+    # criteria return numpy scalars (np.bool_, np.float64); encode them as
+    # the Python scalars they hold
+    return json.dumps(obj, sort_keys=True, default=lambda o: o.item())
 
 
 def _run_once(num: int) -> dict:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from cbbre.errors import MethodError, ParameterError
+from cbbre.conditioned import U
+from cbbre.errors import MethodError, ParameterError, RegimeError
 from cbbre.longterm import (
     asympt_explosion_constant,
     asympt_survival_constant,
@@ -14,6 +15,7 @@ from cbbre.longterm import (
     extinction_prob_exact_stable,
     neveu_longterm,
     phi_eta,
+    phi_eta_grid,
     survival_prob,
     survival_scaled_trend,
 )
@@ -140,9 +142,36 @@ class TestSurvivalConstants:
                 math.log1p(q), rel=1e-9)
 
 
+# mpmath at 30 digits (DLMF 13.4.4 for phi_eta, 13.10.7 for the v-integral
+# of the constants): phi_eta at eta = 0.5, and the weakly subcritical
+# constant 8 int (1 - e^{-kzv}) phi_eta(v) dv at eta = 0.5, k = 1/2
+PHI_ETA_HALF = {
+    1e-3: 20279.071410443685, 0.05: 89.0405622940849, 0.2: 10.682695771892709,
+    0.5: 2.102907275894121, 1.0: 0.4626788358949081, 3.0: 0.012346243354624385,
+    10.0: 1.8712378698812705e-06,
+}
+WEAKLY_CONSTANT_HALF = {1.0: 6.983809314054095, 2.0: 12.73334723097938}
+
+
 class TestPhiEta:
+    def test_matches_mpmath_at_eta_half(self):
+        v = np.array(list(PHI_ETA_HALF))
+        ref = np.array(list(PHI_ETA_HALF.values()))
+        np.testing.assert_allclose(phi_eta_grid(v, 0.5), ref, rtol=1e-10)
+
+    def test_weakly_constant_matches_mpmath(self):
+        env = derive_env(1.0, 0.25, 1.0, 1.0)  # m = -1/4, eta = 1/2, k = 1/2
+        for z, ref in WEAKLY_CONSTANT_HALF.items():
+            assert asympt_survival_constant(z, env).constant == pytest.approx(ref, rel=1e-10)
+            assert U(z, env) == pytest.approx(ref, rel=1e-10)
+
     def test_positive(self):
         assert phi_eta(1.0, 1.0) > 0
+
+    def test_tiny_eta_raises_instead_of_nan(self):
+        # the xi tail ~ e^{-eta xi} would run past where cosh^2 xi overflows
+        with pytest.raises(RegimeError):
+            phi_eta_grid(np.array([1.0]), 0.05)
 
     def test_tensor_matches_confluent_reduction(self):
         # independent evaluation: the u-integral reduced to the confluent

@@ -33,13 +33,13 @@ class TestConfluentKernel:
         ref = special.hyperu(a, 0.5, w)
         np.testing.assert_allclose(u_half(a, w), ref, rtol=1e-7)
 
-    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 3.0])
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.75, 1.0, 1.35, 2.2, 2.5, 3.0, 3.7, 4.0])
     def test_matches_mpmath(self, a):
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
-        w = np.geomspace(1e-5, 3e4, 25)
+        w = np.geomspace(1e-6, 1e6, 25)
         ref = np.array([float(mpmath.hyperu(a, 0.5, x)) for x in w])
-        np.testing.assert_allclose(u_half(a, w), ref, rtol=5e-12)
+        np.testing.assert_allclose(u_half(a, w), ref, rtol=1e-12)
 
     def test_value_at_small_w_limit(self):
         # U(a, 1/2, w) -> sqrt(pi)/Gamma(a + 1/2) + O(sqrt(w))
@@ -48,13 +48,16 @@ class TestConfluentKernel:
             assert u_half(a, np.array([1e-14]))[0] == pytest.approx(lim, rel=1e-6)
 
     def test_fallback_for_generic_a(self):
+        # beyond a = 4 the kernel defers to scipy
         w = np.array([0.7, 3.0])
-        np.testing.assert_allclose(u_half(0.8, w), special.hyperu(0.8, 0.5, w), rtol=1e-10)
+        np.testing.assert_allclose(u_half(4.5, w), special.hyperu(4.5, 0.5, w), rtol=1e-10)
 
     def test_fast_kernel_flag(self):
         assert has_fast_kernel(2.5)
-        assert not has_fast_kernel(0.8)
-        assert not has_fast_kernel(4.0)
+        assert has_fast_kernel(0.8)
+        assert has_fast_kernel(4.0)
+        assert not has_fast_kernel(4.5)
+        assert not has_fast_kernel(0.0)
 
 
 class TestKernelDifference:
@@ -69,6 +72,21 @@ class TestKernelDifference:
                - 2 * np.sqrt(np.pi) * np.sqrt(w) / special.gamma(a))
         mask = w < 1e-6
         np.testing.assert_allclose(got[mask], ref[mask], rtol=1e-5)
+
+    @pytest.mark.parametrize("a", [0.3, 2.2, 4.0])
+    def test_matches_mpmath(self, a):
+        # the Kummer connection formula at 50 digits, where the subtraction
+        # U - U(0) is still exact enough
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        am = mpmath.mpf(a)
+        u0 = mpmath.sqrt(mpmath.pi) / mpmath.gamma(am + 0.5)
+        b = 2 * mpmath.sqrt(mpmath.pi) / mpmath.gamma(am)
+        w = np.geomspace(1e-30, 0.44, 40)
+        ref = np.array([float(u0 * (mpmath.hyp1f1(am, 0.5, x) - 1)
+                              - b * mpmath.sqrt(x) * mpmath.hyp1f1(am + 0.5, 1.5, x))
+                        for x in w])
+        np.testing.assert_allclose(u_half_diff(a, w), ref, rtol=1e-13)
 
     def test_series_agrees_with_subtraction_near_switch(self):
         # both evaluation routes at the same points, either side of 0.45

@@ -6,6 +6,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.stats import ks_2samp
 
 from cbbre import rng as _rng
+from cbbre.errors import ParameterError
 from cbbre.flow import suffix_integral_exp_linear
 from cbbre.mechanisms import (
     Feller,
@@ -49,6 +50,10 @@ class TestBasics:
         b = simulate_cbbre_batch(Feller(0.2, 1.0), 1.0, 1.0, 1.0, cfg, 30000,
                                  record_times=[1.0], chunk=10000, workers=4)
         assert np.array_equal(a.z, b.z)
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ParameterError):
+            SimConfig(scheme="no-such-scheme")
 
     def test_nonnegative_everywhere(self):
         cfg = SimConfig(dt=0.005, seed=4)
