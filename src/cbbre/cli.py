@@ -10,6 +10,7 @@ check failed, 2 usage or schema error.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import math
@@ -461,7 +462,7 @@ def main(argv=None) -> int:
             if args.command != "verify":
                 print("error: --config is required", file=sys.stderr)
                 return 2
-            doc = dict(_MINIMAL_VERIFY)
+            doc = copy.deepcopy(_MINIMAL_VERIFY)
         else:
             cfg_path = Path(args.config)
             if not cfg_path.exists() and os.environ.get(DEFAULT_CONFIG_ENV):

@@ -125,10 +125,6 @@ class EnvPath:
     def T(self) -> float:
         return float(self.grid[-1])
 
-    def to_csv(self, path) -> None:
-        np.savetxt(path, np.column_stack([self.grid, self.values]),
-                   delimiter=",", header="t,K", comments="")
-
 
 def sample_env_paths(sigma: float, drift: float, T: float, n_steps: int,
                      seed: int, n_paths: int, stream: int = 0):

@@ -6,8 +6,9 @@ v_t(s, lambda, delta) solves the backward equation
     d/ds v = exp(delta_s) * psi(v * exp(-delta_s)),      v(t) = lambda
 
 (with psi replaced by psi0 on K0-flavored paths).  The module provides a
-vectorized RK4 solver with step halving, the Neveu / Feller / stable closed
-forms, and the conditional survival and explosion probabilities they imply.
+vectorized Dormand-Prince 5(4) solver that carries its step count from one
+environment segment to the next, the Neveu / Feller / stable closed forms,
+and the conditional survival and explosion probabilities they imply.
 
 The declared path model is linear interpolation of the environment between
 grid points.  Closed-form path functionals integrate exp(linear) segments
@@ -124,12 +125,10 @@ class FlowSolution:
         """v_t(0, lambda, delta)."""
         return float(self.values[0] if self.values.ndim == 1 else self.values[0, 0])
 
-    def to_csv(self, path) -> None:
-        np.savetxt(path, np.column_stack([self.grid, np.atleast_2d(self.values).T]),
-                   delimiter=",", header="s,v", comments="")
-
 
 def _rhs_factory(mech: Mechanism, flavor: str):
+    # psi is looked up in this module at call time, so a wrapped
+    # eval_psi/eval_psi0 sees every call
     if flavor == "K0":
         if is_infinite_mean(mech):
             raise UnsupportedMechanismError(
@@ -139,11 +138,28 @@ def _rhs_factory(mech: Mechanism, flavor: str):
     else:
         psi = lambda u: eval_psi(mech, u)
 
-    def rhs(delta_s, v):
-        ed = np.exp(delta_s)
-        return ed * psi(np.maximum(v, 0.0) * np.exp(-delta_s))
+    def rhs(ed, v):
+        # ed = exp(delta_s)
+        return ed * psi(np.maximum(v, 0.0) / ed)
 
     return rhs
+
+
+# Dormand-Prince 5(4) tableau.  The last row of _DP_A holds the fifth-order
+# weights, so the last stage is the next step's first ("first same as
+# last"); _DP_E holds the fifth- minus fourth-order weights.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
 
 
 def solve_backward_batch(mech: Mechanism, lam: float, t: float, grid, values,
@@ -152,9 +168,16 @@ def solve_backward_batch(mech: Mechanism, lam: float, t: float, grid, values,
     """Solve the backward equation along many paths at once.
 
     ``values`` has shape (paths, n); the solution is returned on the same
-    grid.  Classical RK4 per environment segment with global step halving:
-    a segment is subdivided until the Richardson error estimate across all
-    paths is below ``tol * max(1, |v|)``.
+    grid, with the time of blow-up (or None).  Each environment segment is
+    crossed in ``n_sub`` equal Dormand-Prince 5(4) steps, so steps end on
+    the grid and the environment is linear within each step.  A try is
+    accepted when every step's embedded error estimate, max over paths of
+    |y5 - y4| / max(1, |y5|), is below ``tol``; the fifth-order value is
+    kept.  ``n_sub`` carries over from segment to segment: it doubles on a
+    rejected try, up to ``2**max_halvings``, and halves for the next segment
+    when the error is below ``tol / 64``.  A segment that still fails at
+    ``2**max_halvings`` steps raises ``SolverError``, unless v has blown up
+    there.
     """
     g = np.asarray(grid, float)
     V = np.atleast_2d(np.asarray(values, float))
@@ -163,50 +186,70 @@ def solve_backward_batch(mech: Mechanism, lam: float, t: float, grid, values,
     if abs(g[-1] - t) > 1e-12 * max(1.0, t):
         raise ParameterError("environment grid must end at the horizon t")
     rhs = _rhs_factory(mech, flavor)
-    n_seg = g.size - 1
-    slopes = np.diff(V, axis=1) / np.diff(g)
-
-    def delta_at(j, s):
-        return V[:, j] + slopes[:, j] * (s - g[j])
+    dV = np.diff(V, axis=1)
+    max_sub = 2**max_halvings
 
     out = np.empty_like(V)
     out[:, -1] = lam
     v = np.full(V.shape[0], float(lam))
+    k = np.empty((_DP_C.size, V.shape[0]))  # stages; k[0] is f at the step's start
+    k[0] = rhs(np.exp(V[:, -1]), v)
+    n_sub = 1
     blowup = None
-    for j in range(n_seg - 1, -1, -1):
-        s_hi, s_lo = g[j + 1], g[j]
-        n_sub = 1
-        for _ in range(max_halvings + 1):
-            v1 = _rk4_span(rhs, delta_at, j, s_hi, s_lo, v, n_sub)
-            v2 = _rk4_span(rhs, delta_at, j, s_hi, s_lo, v, 2 * n_sub)
-            err = np.max(np.abs(v1 - v2) / np.maximum(1.0, np.abs(v2)))
-            if err < tol or n_sub >= 2**max_halvings:
+    for j in range(g.size - 2, -1, -1):
+        s_lo = g[j]
+        k_top = k[0].copy()
+        while True:
+            v_new, err = _dp_span(rhs, k, v, V[:, j], dV[:, j], g[j + 1] - s_lo,
+                                  n_sub, tol if n_sub < max_sub else math.inf)
+            if err < tol or n_sub >= max_sub:
                 break
             n_sub *= 2
-        v = v2
-        if not np.isfinite(v).all() or (v > V_BLOWUP).any():
+            k[0] = k_top
+        if not np.isfinite(v_new).all() or (v_new > V_BLOWUP).any():
             blowup = float(s_lo)
             out[:, : j + 1] = np.inf
             break
-        if (v < -tol * 10).any():
+        if not err < tol:
+            raise SolverError(
+                f"no convergence on the segment ending at s = {s_lo:.6g}: error "
+                f"estimate {err:.3g} >= tol {tol:.3g} with {n_sub} steps")
+        if (v_new < -tol * 10).any():
             raise SolverError(f"negative excursion at s = {s_lo:.6g}")
-        v = np.where(np.abs(v) < V_FLOOR, 0.0, np.maximum(v, 0.0))
+        v = np.where(np.abs(v_new) < V_FLOOR, 0.0, np.maximum(v_new, 0.0))
+        if not np.array_equal(v, v_new):
+            k[0] = rhs(np.exp(V[:, j]), v)
         out[:, j] = v
+        if err < tol / 64 and n_sub > 1:
+            n_sub //= 2
     return out, blowup
 
 
-def _rk4_span(rhs, delta_at, j, s_hi, s_lo, v0, n_sub):
-    h = (s_lo - s_hi) / n_sub  # negative: integrating backward
-    v = v0.copy()
-    s = s_hi
-    for _ in range(n_sub):
-        k1 = rhs(delta_at(j, s), v)
-        k2 = rhs(delta_at(j, s + 0.5 * h), v + 0.5 * h * k1)
-        k3 = rhs(delta_at(j, s + 0.5 * h), v + 0.5 * h * k2)
-        k4 = rhs(delta_at(j, s + h), v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s += h
-    return v
+def _dp_span(rhs, k, v, d_lo, dd, length, n_sub, stop):
+    """``n_sub`` Dormand-Prince steps backward across one segment, along
+    which delta runs linearly from ``d_lo + dd`` at its top to ``d_lo``.
+
+    ``k[0]`` holds f at the start and, on return, f at the end.  Returns
+    the end value and the largest error estimate; returns early once that
+    estimate exceeds ``stop``.
+    """
+    h = -length / n_sub
+    hA = h * _DP_A
+    hE = h * _DP_E
+    frac = 1.0 - (np.arange(n_sub)[:, None] + _DP_C[1:]) / n_sub
+    ed = np.exp(d_lo + frac[:, :, None] * dd)  # exp(delta) at every later stage
+    err = 0.0
+    for i in range(n_sub):
+        for st in range(1, _DP_C.size):
+            y = v + hA[st, :st] @ k[:st]
+            k[st] = rhs(ed[i, st - 1], y)
+        e = float(np.max(np.abs(hE @ k) / np.maximum(1.0, np.abs(y))))
+        err = max(err, e) if e == e else math.inf  # a NaN estimate fails
+        if err > stop:
+            return y, err
+        v = y
+        k[0] = k[-1]
+    return v, err
 
 
 def solve_backward(mech: Mechanism, lam: float, t: float, env: EnvPath,

@@ -1,8 +1,9 @@
+import copy
 import json
 
 import pytest
 
-from cbbre.cli import main
+from cbbre.cli import _MINIMAL_VERIFY, main
 from cbbre.config import load_config, mechanism_from_dict, mechanism_to_dict
 from cbbre.errors import ConfigError
 from cbbre.mechanisms import Feller, Neveu, Stable
@@ -77,6 +78,11 @@ class TestCli:
         assert main(["verify", "--suite", "branching", "--out", str(tmp_path / "v")]) == 0
         doc = json.loads((tmp_path / "v" / "summary.json").read_text())
         assert all(c["pass"] for c in doc["summary"]["checks"])
+
+    def test_verify_leaves_default_config_alone(self, tmp_path):
+        before = copy.deepcopy(_MINIMAL_VERIFY)
+        assert main(["verify", "--suite", "branching", "--out", str(tmp_path / "v")]) == 0
+        assert _MINIMAL_VERIFY == before
 
     def test_verify_identities(self, tmp_path):
         assert main(["verify", "--suite", "identities", "--out", str(tmp_path / "v")]) == 0

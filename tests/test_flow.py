@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cbbre.environment import EnvPath, sample_env_path
-from cbbre.errors import ParameterError
+import cbbre.flow as flow
+from cbbre.environment import EnvPath, sample_env_path, sample_env_paths
+from cbbre.errors import ParameterError, SolverError
 from cbbre.flow import (
     closed_form_feller,
     closed_form_neveu,
@@ -137,6 +138,42 @@ class TestSolver:
         K[:, 0] = 0.0
         out, blowup = solve_backward_batch(Feller(0.2, 1.0), 1.0, 1.0, grid, K, "K")
         assert out.shape == (5, 101) and blowup is None
+
+
+class TestDormandPrince:
+    @pytest.mark.parametrize("mech,flavor,closed", [
+        (Feller(0.5, 1.0), "K", lambda e: closed_form_feller(10.0, 1.0, e, 0.5, 1.0)),
+        (Stable(0.5, 0.5, 1.0), "K",
+         lambda e: closed_form_stable(10.0, 1.0, e, 0.5, 1.0, 0.5)),
+        (Stable(0.5, -0.5, -1.0), "K",
+         lambda e: closed_form_stable(10.0, 1.0, e, -0.5, -1.0, 0.5)),
+        (Neveu(), "K", lambda e: closed_form_neveu(10.0, 1.0, e)),
+        (Feller(0.5, 1.0), "K0", lambda e: closed_form_feller(10.0, 1.0, e, 0.5, 1.0)),
+        (GeneralCB(0.0, 0.5, 1.0), "K0",
+         lambda e: closed_form_feller(10.0, 1.0, e, 0.5, 1.0)),
+    ])
+    def test_batch_matches_closed_form(self, mech, flavor, closed):
+        grid, K = sample_env_paths(1.0, -0.5, 1.0, 1000, 17, 20)
+        out, blowup = solve_backward_batch(mech, 10.0, 1.0, grid, K, flavor)
+        want = [closed(EnvPath(grid, k, flavor, 1.0, -0.5)) for k in K]
+        assert blowup is None
+        np.testing.assert_allclose(out[:, 0], want, rtol=0.0, atol=1e-8)
+
+    def test_psi_calls_per_segment(self, monkeypatch):
+        # six new stages per step, one step per segment at this tolerance;
+        # step doubling needed at least twelve
+        calls = []
+        real = flow.eval_psi
+        monkeypatch.setattr(flow, "eval_psi", lambda m, u: calls.append(1) or real(m, u))
+        grid, K = sample_env_paths(1.0, -0.5, 1.0, 1000, 18, 20)
+        solve_backward_batch(Stable(0.5, 0.5, 1.0), 1.0, 1.0, grid, K, "K", tol=1e-10)
+        assert len(calls) <= 7 * 1000
+
+    def test_unmet_tolerance_raises(self):
+        env = sample_env_path(1.0, -0.5, 1.0, 10, seed=19, flavor="K")
+        with pytest.raises(SolverError, match=r"s = 0\.9\b.*error estimate"):
+            solve_backward_batch(Feller(0.5, 1.0), 10.0, 1.0, env.grid, env.values, "K",
+                                 tol=1e-20, max_halvings=0)
 
 
 class TestConditionalProbabilities:
