@@ -23,8 +23,9 @@ import numpy as np
 from . import __version__
 from .config import EXPERIMENT_KINDS, ExperimentConfig, load_config, mechanism_to_dict
 from .environment import MCEstimate, sample_env_path
-from .errors import CBBREError, ConfigError, MethodError
-from .mechanisms import EnvParams, Feller, Neveu, Stable
+from .errors import CBBREError, ConfigError, MethodError, UnsupportedMechanismError
+from .mechanisms import (EnvParams, Feller, ImmigrationMechanism, Neveu, Stable,
+                         StableImmigration)
 from .simulate import SimConfig, simulate_cbbre_batch
 
 DEFAULT_CONFIG_ENV = "CBBRE_CONFIG_DIR"
@@ -70,14 +71,20 @@ def _sim_config(cfg: ExperimentConfig) -> SimConfig:
 # ---------------------------------------------------------------------------
 
 
+def _grid_times(ts, T, dt):
+    """Default record times: the grid points of [0, T] at step ~dt nearest ts."""
+    h = T / int(round(T / dt))
+    return list(np.unique(np.rint(np.asarray(ts, float) / h)) * h)
+
+
 def _run_simulate(cfg: ExperimentConfig, out: Path):
     exp = cfg.experiment
     z0 = float(exp.get("z0", 1.0))
     T = float(exp.get("T", 1.0))
     n_paths = int(exp.get("n_paths", 1000))
-    record = exp.get("record_times") or list(np.linspace(0.0, T, 26))
-    batch = simulate_cbbre_batch(cfg.mechanism, cfg.sigma, z0, T,
-                                 _sim_config(cfg), n_paths,
+    sim = _sim_config(cfg)
+    record = exp.get("record_times") or _grid_times(np.linspace(0.0, T, 26), T, sim.dt)
+    batch = simulate_cbbre_batch(cfg.mechanism, cfg.sigma, z0, T, sim, n_paths,
                                  record_times=record, imm=cfg.immigration,
                                  workers=cfg.workers)
     zT = batch.z[:, -1]
@@ -198,10 +205,12 @@ def _run_qprocess(cfg: ExperimentConfig, out: Path):
     exp = cfg.experiment
     env = _survival_env(cfg)
     z0 = float(exp.get("z0", 1.0))
-    ts = [float(t) for t in exp.get("t_grid", [0.5, 1.0, 2.0])]
+    sim = _sim_config(cfg)
+    ts = [float(t) for t in
+          exp.get("t_grid") or _grid_times([0.5, 1.0, 2.0], 2.0, sim.dt)]
     n_paths = int(exp.get("n_paths", 20000))
     batch = simulate_cbbre_batch(cfg.mechanism, cfg.sigma, z0, max(ts),
-                                 _sim_config(cfg), n_paths, record_times=ts,
+                                 sim, n_paths, record_times=ts,
                                  workers=cfg.workers)
     checks, rows, ok = [], [], True
     for j, t in enumerate(batch.times):
@@ -247,10 +256,11 @@ def _run_immigration(cfg: ExperimentConfig, out: Path):
     from .immigration import cbibre_cond_laplace, cbibre_longterm, stable_cbibre_laplace
 
     exp = cfg.experiment
-    if not isinstance(cfg.mechanism, (Stable, Feller)):
+    try:
+        env = _survival_env(cfg)
+    except UnsupportedMechanismError:
         raise ConfigError("immigration experiments need a stable/feller mechanism",
-                          "mechanism")
-    env = _survival_env(cfg)
+                          "mechanism") from None
     z = float(exp.get("z", 1.0))
     lam = float(exp.get("lam", 1.0))
     t = float(exp.get("t", 1.0))
@@ -263,9 +273,7 @@ def _run_immigration(cfg: ExperimentConfig, out: Path):
     summary = {"z": z, "lam": lam, "t": t, "closed_form": cf}
     ok = True
     if exp.get("check_ode", True):
-        from .mechanisms import ImmigrationMechanism, Stable as StableMech, StableImmigration
-
-        mech = StableMech(env.alpha, beta, c)
+        mech = Stable(env.alpha, beta, c)
         imm = ImmigrationMechanism(0.0, StableImmigration(beta, kappa))
         ode = cbibre_cond_laplace(z, lam, t, path, mech, imm,
                                   tol=cfg.numerics["ode_tol"])

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError
 from .mechanisms import (
-    EnvParams,
     Feller,
     GeneralCB,
     ImmigrationMechanism,
@@ -34,7 +33,7 @@ from .mechanisms import (
 )
 
 __all__ = ["ExperimentConfig", "load_config", "mechanism_from_dict",
-           "mechanism_to_dict", "immigration_from_dict", "env_params_from_config"]
+           "mechanism_to_dict", "immigration_from_dict"]
 
 EXPERIMENT_KINDS = ("simulate", "survival", "explosion", "asymptotics",
                     "qprocess", "conditioned", "immigration", "verify")
@@ -52,14 +51,7 @@ def mechanism_from_dict(d: dict) -> Mechanism:
         if kind == "stable":
             return Stable(float(d["alpha"]), float(d["beta"]), float(d["c"]))
         if kind == "general":
-            mu = None
-            if d.get("jump_x") is not None:
-                mu = TabulatedMeasure(
-                    np.asarray(d["jump_x"], float),
-                    np.asarray(d["jump_density"], float),
-                    float(d.get("tail_mass", 0.0)),
-                    float(d.get("tail_location", 0.0)),
-                )
+            mu = None if d.get("jump_x") is None else _tabulated(d, "jump_x", "jump_density")
             return GeneralCB(float(d.get("q", 0.0)), float(d["a"]),
                              float(d["gamma2"]), mu)
     except KeyError as exc:
@@ -69,18 +61,13 @@ def mechanism_from_dict(d: dict) -> Mechanism:
     raise ConfigError(f"unknown mechanism kind {kind!r}", "mechanism.kind")
 
 
+def _tabulated(d: dict, x_key: str, density_key: str) -> TabulatedMeasure:
+    return TabulatedMeasure(np.asarray(d[x_key], float), np.asarray(d[density_key], float),
+                            float(d.get("tail_mass", 0.0)), float(d.get("tail_location", 0.0)))
+
+
 def mechanism_to_dict(mech: Mechanism) -> dict:
-    if isinstance(mech, Neveu):
-        return {"kind": "neveu"}
-    if isinstance(mech, Feller):
-        return {"kind": "feller", "alpha": mech.alpha, "gamma2": mech.gamma2}
-    if isinstance(mech, Stable):
-        return {"kind": "stable", "alpha": mech.alpha, "beta": mech.beta, "c": mech.c}
-    out = {"kind": "general", "q": mech.q, "a": mech.a, "gamma2": mech.gamma2}
-    if mech.mu is not None:
-        out |= {"jump_x": mech.mu.x.tolist(), "jump_density": mech.mu.density.tolist(),
-                "tail_mass": mech.mu.tail_mass, "tail_location": mech.mu.tail_location}
-    return out
+    return mech.to_dict()
 
 
 def immigration_from_dict(d: dict | None) -> ImmigrationMechanism | None:
@@ -95,10 +82,7 @@ def immigration_from_dict(d: dict | None) -> ImmigrationMechanism | None:
             except (KeyError, ParameterError) as exc:
                 raise ConfigError(str(exc), "immigration.nu") from None
         elif nd.get("kind") == "tabulated":
-            nu = TabulatedMeasure(np.asarray(nd["x"], float),
-                                  np.asarray(nd["density"], float),
-                                  float(nd.get("tail_mass", 0.0)),
-                                  float(nd.get("tail_location", 0.0)))
+            nu = _tabulated(nd, "x", "density")
         else:
             raise ConfigError("nu.kind must be 'stable' or 'tabulated'", "immigration.nu")
     try:
@@ -169,6 +153,3 @@ def load_config(path_or_dict) -> ExperimentConfig:
     return ExperimentConfig(mech, sigma, exp, numerics, seed, workers,
                             str(doc.get("out", "results")), imm, doc)
 
-
-def env_params_from_config(cfg: ExperimentConfig) -> EnvParams:
-    return EnvParams.from_mechanism(cfg.mechanism, cfg.sigma)

@@ -25,15 +25,7 @@ import numpy as np
 
 from .environment import EnvPath
 from .errors import ParameterError, SolverError, UnsupportedMechanismError
-from .mechanisms import (
-    Feller,
-    Mechanism,
-    Neveu,
-    Stable,
-    eval_psi,
-    eval_psi0,
-    is_infinite_mean,
-)
+from .mechanisms import Feller, Mechanism, Stable, eval_psi, eval_psi0
 
 logger = logging.getLogger(__name__)
 
@@ -129,8 +121,10 @@ class FlowSolution:
 def _rhs_factory(mech: Mechanism, flavor: str):
     # psi is looked up in this module at call time, so a wrapped
     # eval_psi/eval_psi0 sees every call
+    if flavor not in ("K", "K0"):
+        raise ParameterError(f"flavor must be 'K' or 'K0', not {flavor!r}")
     if flavor == "K0":
-        if is_infinite_mean(mech):
+        if mech.infinite_mean:
             raise UnsupportedMechanismError(
                 "K0-flavored environments require a finite-mean mechanism"
             )
@@ -344,16 +338,6 @@ def _log_integral_exp_linear(grid, w):
 # ---------------------------------------------------------------------------
 
 
-def _v_initial(mech: Mechanism, lam: float, t: float, env: EnvPath, tol: float) -> float:
-    if isinstance(mech, Neveu):
-        return closed_form_neveu(lam, t, env)
-    if isinstance(mech, Feller):
-        return closed_form_feller(lam, t, env, mech.alpha, mech.gamma2)
-    if isinstance(mech, Stable):
-        return closed_form_stable(lam, t, env, mech.beta, mech.c, mech.alpha)
-    return solve_backward(mech, lam, t, env, tol).initial
-
-
 def cond_laplace(z: float, lam: float, t: float, env: EnvPath,
                  mech: Mechanism, tol: float = 1e-10) -> float:
     """E_z[exp(-lambda Z_t e^{-K_t}) | K] = exp(-z v_t(0, lambda, K))."""
@@ -361,17 +345,12 @@ def cond_laplace(z: float, lam: float, t: float, env: EnvPath,
         raise ParameterError("initial mass must be nonnegative")
     if z == 0:
         return 1.0
-    if lam == 0:
-        from .mechanisms import GeneralCB
-
-        if isinstance(mech, Stable) and mech.beta < 0:
-            v0 = closed_form_stable(0.0, t, env, mech.beta, mech.c, mech.alpha)
-            return float(np.exp(-z * v0))
-        if isinstance(mech, GeneralCB) and mech.q > 0:
-            v0 = solve_backward(mech, 1e-12, t, env, tol).initial
-            return float(np.exp(-z * v0))
-        return 1.0  # conservative: lim v = 0
-    v0 = _v_initial(mech, lam, t, env, tol)
+    if lam == 0 and mech.conservative:
+        return 1.0  # lim v = 0
+    v0 = mech.closed_form(lam, t, env)
+    if v0 is None:
+        # the solver takes the lambda -> 0 limit at lambda = 1e-12
+        v0 = solve_backward(mech, lam or 1e-12, t, env, tol).initial
     return float(np.exp(-z * v0))
 
 
@@ -380,14 +359,13 @@ def cond_survival(z: float, t: float, env: EnvPath, mech: Stable | Feller) -> fl
 
     For beta < 0 the process never dies: the probability is exactly 1.
     """
-    if isinstance(mech, Feller):
-        mech = Stable(mech.alpha, 1.0, mech.gamma2)
-    if mech.beta < 0:
+    alpha, beta, c = mech.stable_params()
+    if beta < 0:
         logger.info("survival probability is identically 1 for beta < 0")
         return 1.0
     if z < 0:
         raise ParameterError("initial mass must be nonnegative")
-    v_inf = closed_form_stable(math.inf, t, env, mech.beta, mech.c, mech.alpha)
+    v_inf = closed_form_stable(math.inf, t, env, beta, c, alpha)
     return float(-np.expm1(-z * v_inf))
 
 

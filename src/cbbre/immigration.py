@@ -11,18 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .environment import EnvPath, MCEstimate, sample_env_paths
 from .errors import ParameterError, UnsupportedMechanismError
-from .flow import solve_backward, suffix_integral_exp_linear
-from .mechanisms import (
-    EnvParams,
-    ImmigrationMechanism,
-    Mechanism,
-    StableImmigration,
-    is_infinite_mean,
-)
+from .flow import integral_exp_linear, solve_backward, suffix_integral_exp_linear
+from .mechanisms import EnvParams, ImmigrationMechanism, Mechanism, StableImmigration
 from .numerics import gl_panels
 
 __all__ = [
@@ -42,12 +35,13 @@ def cbibre_cond_laplace(z: float, lam: float, t: float, env: EnvPath,
     """E_z[exp(-lambda Z_t e^{-K0_t}) | K0] with immigration.
 
     The branching factor uses the drift-free backward equation (psi0); the
-    immigration factor integrates phi(v e^{-K0}) along the solution by
-    composite Simpson on the environment grid.
+    immigration factor integrates phi(v e^{-K0}) along the solution: exactly
+    for the drift and a stable nu under the linear path model, by composite
+    Simpson on the environment grid for a tabulated nu.
     """
     if z < 0:
         raise ParameterError("initial mass must be nonnegative")
-    if is_infinite_mean(mech):
+    if mech.infinite_mean:
         raise UnsupportedMechanismError(
             "the immigration semigroup is defined for finite-mean mechanisms"
         )
@@ -58,27 +52,14 @@ def cbibre_cond_laplace(z: float, lam: float, t: float, env: EnvPath,
     if imm.trivial:
         return branch
     imm_integral = 0.0
-    # drift and stable-tail parts are exp(linear) along the declared path
-    # model once log v is interpolated linearly: integrate segments exactly
+    # the drift part is exp(linear) along the declared path model once log v
+    # is interpolated linearly: integrate its segments exactly
     log_u = np.log(np.maximum(sol.values, 1e-300)) - env.values
     if imm.d > 0:
-        imm_integral += imm.d * _integral_exp_linear(env.grid, log_u)
-    if isinstance(imm.nu, StableImmigration):
-        b = imm.nu.beta
-        imm_integral += imm.nu.kappa * _integral_exp_linear(env.grid, b * log_u)
-    elif imm.nu is not None:
-        tail = imm.eval_phi(np.exp(log_u)) - imm.d * np.exp(log_u)
-        imm_integral += float(integrate.simpson(tail, x=env.grid))
+        imm_integral += imm.d * integral_exp_linear(env.grid, log_u)
+    if imm.nu is not None:
+        imm_integral += imm.nu.phi_path_integral(env.grid, log_u)
     return branch * math.exp(-imm_integral)
-
-
-def _integral_exp_linear(grid, w):
-    return float(suffix_integral_exp_linear(grid, w)[0])
-
-
-def _a_t(env: EnvPath, beta: float) -> float:
-    # int_0^t exp(-beta K0_s) ds, exact under linear interpolation
-    return float(suffix_integral_exp_linear(env.grid, -beta * env.values)[0])
 
 
 def stable_cbibre_laplace(z: float, lam: float, t: float, env: EnvPath,
@@ -94,7 +75,7 @@ def stable_cbibre_laplace(z: float, lam: float, t: float, env: EnvPath,
         raise ParameterError("the closed form conditions on K0-flavored paths")
     if z < 0 or lam < 0:
         raise ParameterError("z and lambda must be nonnegative")
-    A = _a_t(env, beta)
+    A = integral_exp_linear(env.grid, -beta * env.values)  # int_0^t e^{-beta K0}
     if lam == 0.0:
         return 1.0
     factor_imm = math.exp(-(kappa / (beta * c)) * math.log1p(beta * c * lam**beta * A))
@@ -141,7 +122,7 @@ def cbibre_longterm(z: float, env: EnvParams, beta: float, c: float,
             grid, K = sample_env_paths(env.sigma, env.m, horizon, n_steps,
                                        seed, n_paths, stream=stream)
             A = suffix_integral_exp_linear(grid, -beta * K)[:, 0]
-            vals = _stable_cbi_transform_samples(z, lam, A, beta, c, kappa)
+            vals = _stable_cbi_transform(z, lam, beta * c * A, beta, c, kappa)
             se = float(vals.std(ddof=1) / math.sqrt(n_paths))
             ests.append(MCEstimate(float(vals.mean()), se, n_paths, "mc",
                                    {"seed": seed, "stream": stream, "T": horizon,
@@ -166,8 +147,8 @@ def cbibre_longterm(z: float, env: EnvParams, beta: float, c: float,
     return CbibreLongterm("diverges", None, [], medians, lam, z)
 
 
-def _stable_cbi_transform_samples(z, lam, A, beta, c, kappa):
-    bca = beta * c * A
+def _stable_cbi_transform(z, lam, bca, beta, c, kappa):
+    # E_z[exp(-lambda Z e^{-K0})] given bca = beta*c*A
     factor = np.exp(-(kappa / (beta * c)) * np.log1p(bca * lam**beta))
     if z > 0:
         factor = factor * np.exp(-z * (lam ** (-beta) + bca) ** (-1.0 / beta))
@@ -183,8 +164,5 @@ def _stable_cbi_limit_transform(z, lam, m, sigma, beta, c, kappa):
     from scipy.special import gamma as gamma_fn
 
     dens = w * x ** (shape - 1.0) * np.exp(-x) / gamma_fn(shape)
-    bca = (2.0 * c / (beta * sigma**2)) / x
-    vals = np.exp(-(kappa / (beta * c)) * np.log1p(bca * lam**beta))
-    if z > 0:
-        vals = vals * np.exp(-z * (lam ** (-beta) + bca) ** (-1.0 / beta))
+    vals = _stable_cbi_transform(z, lam, (2.0 * c / (beta * sigma**2)) / x, beta, c, kappa)
     return float(np.sum(dens * vals))

@@ -82,6 +82,19 @@ def _default_steps(t: float) -> int:
     return max(400, int(round(200 * t)))
 
 
+def _mc_prob(z, t, env, n_paths, n_steps, seed, estimator) -> MCEstimate:
+    # 1 - exp(-z v) averaged over sampled environments, where v = v_t(0, inf)
+    # for beta > 0 (survival) and v = v_t(0, 0) for beta < 0 (explosion)
+    n_steps = n_steps or _default_steps(t)
+    log_a = _mc_log_a(env, t, n_paths, n_steps, seed)
+    arg = z * (env.beta * env.c) ** (-1.0 / env.beta) * np.exp(-log_a / env.beta)
+    ps = -np.expm1(-arg)
+    se = float(ps.std(ddof=1) / math.sqrt(n_paths))
+    manifest = {"seed": seed, "n_paths": n_paths, "n_steps": n_steps,
+                "estimator": estimator}
+    return MCEstimate(float(ps.mean()), se, n_paths, "mc", manifest)
+
+
 def survival_prob(z: float, t: float, env: EnvParams, method: str = "mc",
                   n_paths: int = 30000, n_steps: int | None = None,
                   seed: int = 0) -> MCEstimate:
@@ -100,14 +113,7 @@ def survival_prob(z: float, t: float, env: EnvParams, method: str = "mc",
     nu = env.beta**2 * env.sigma**2 * t / 4.0
     kk = env.k
     if method == "mc":
-        n_steps = n_steps or _default_steps(t)
-        log_a = _mc_log_a(env, t, n_paths, n_steps, seed)
-        arg = z * (env.beta * env.c) ** (-1.0 / env.beta) * np.exp(-log_a / env.beta)
-        ps = -np.expm1(-arg)
-        se = float(ps.std(ddof=1) / math.sqrt(n_paths))
-        manifest = {"seed": seed, "n_paths": n_paths, "n_steps": n_steps,
-                    "estimator": "mean cond_survival"}
-        return MCEstimate(float(ps.mean()), se, n_paths, "mc", manifest)
+        return _mc_prob(z, t, env, n_paths, n_steps, seed, "mean cond_survival")
     if method == "quadrature":
         if env.eta <= -1.0:
             raise MethodError("density quadrature requires eta > -1")
@@ -135,14 +141,7 @@ def explosion_prob(z: float, t: float, env: EnvParams, method: str = "mc",
     nu = env.beta**2 * env.sigma**2 * t / 4.0
     kk = env.k
     if method == "mc":
-        n_steps = n_steps or _default_steps(t)
-        log_a = _mc_log_a(env, t, n_paths, n_steps, seed)
-        arg = z * (env.beta * env.c) ** (-1.0 / env.beta) * np.exp(-log_a / env.beta)
-        ps = -np.expm1(-arg)
-        se = float(ps.std(ddof=1) / math.sqrt(n_paths))
-        manifest = {"seed": seed, "n_paths": n_paths, "n_steps": n_steps,
-                    "estimator": "mean cond_explosion"}
-        return MCEstimate(float(ps.mean()), se, n_paths, "mc", manifest)
+        return _mc_prob(z, t, env, n_paths, n_steps, seed, "mean cond_explosion")
     if method == "quadrature":
         if env.eta <= -1.0:
             raise MethodError("density quadrature requires eta > -1; "

@@ -1,13 +1,19 @@
-"""Branching mechanisms, environment parameters, and regime classification.
+"""Branching mechanisms, immigration measures, environment parameters and regimes.
 
 A branching mechanism is the convex function
 
     psi(u) = -q - a*u + gamma2*u^2 + int_(0,inf) (e^{-u x} - 1 + u x 1{x<1}) mu(dx),
 
 specified here either through one of the named families (Neveu, Feller,
-stable-with-drift) or through a tabulated jump measure.  Environment
-parameters collect the volatility sigma of the Brownian environment together
-with the drift alpha of the mechanism and the derived quantities
+stable-with-drift) or through a tabulated jump measure.  Each is a subclass
+of ``Mechanism`` that answers everything the package asks of a mechanism
+(psi and its kin, its flags, its SDE coefficients and jump law, its closed
+form, its config block); no other module tests a mechanism's type.  The
+immigration measures answer phi and their jump law the same way.
+
+Environment parameters collect the volatility sigma of the Brownian
+environment together with the drift alpha of the mechanism and the derived
+quantities
 
     m   = alpha - sigma^2/2          (general finite-mean: -psi'(0+) - sigma^2/2)
     eta = -2 m / (beta sigma^2)
@@ -20,20 +26,24 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
+from scipy import integrate
 from scipy.special import gamma as _gamma_fn
 
 from .errors import ParameterError, UnsupportedMechanismError
 
 __all__ = [
+    "Mechanism",
     "Neveu",
     "Feller",
     "Stable",
     "TabulatedMeasure",
     "GeneralCB",
-    "Mechanism",
+    "JumpLaw",
     "NEVEU_DRIFT",
     "eval_psi",
     "eval_psi0",
@@ -41,7 +51,6 @@ __all__ = [
     "psi_prime_at_zero",
     "psi_largest_root",
     "is_infinite_mean",
-    "mechanism_drift",
     "EnvParams",
     "derive_env",
     "SurvivalRegime",
@@ -61,12 +70,109 @@ NEVEU_DRIFT = 1.0 - float(np.euler_gamma)
 
 
 @dataclass(frozen=True)
-class Neveu:
-    """psi(u) = u log u.  Infinite mean: psi'(0+) = -infinity."""
+class JumpLaw:
+    """The jumps of size >= eps, as the simulator thins them.
+
+    Jumps arrive at ``rate`` per unit time (per unit mass for a branching
+    mechanism, per path for immigration), with sizes ``sample(rng, n)``.
+    ``drift`` is the mean of the uncompensated jumps below eps less the
+    compensator of the simulated ones; ``small_var`` is the variance of the
+    compensated jumps below eps, simulated as a Gaussian.
+    """
+
+    rate: float
+    sample: Callable
+    drift: float
+    small_var: float = 0.0
+
+
+def _pareto_sampler(eps: float, index: float):
+    # inverse of the tail P(size > x) = (x/eps)^-index, x >= eps
+    def sample(rng, n):
+        return eps * rng.random(n) ** (-1.0 / index)
+
+    return sample
+
+
+class Mechanism:
+    """A branching mechanism.  Subclasses define ``_psi`` and ``_psi0`` (on
+    arrays that ``eval_psi``/``eval_psi0`` have checked), the SDE
+    coefficients and the config block; the defaults suit psi(u) = -alpha*u
+    + ... without jumps or closed form."""
+
+    #: psi'(0+) = -infinity
+    infinite_mean = False
+    #: E[e^{-lambda Z_t}] -> 1 as lambda -> 0: no explosion, no killing
+    conservative = True
+
+    def psi_prime_at_zero(self) -> float:
+        """psi'(0+).  Raises for infinite-mean mechanisms."""
+        if self.infinite_mean:
+            raise UnsupportedMechanismError("psi'(0+) = -infinity for this mechanism")
+        return -self.alpha
+
+    def largest_root(self) -> float:
+        """Largest root of psi on [0, infinity)."""
+        raise UnsupportedMechanismError("largest root exposed for Feller/stable (beta>0) only")
+
+    def sde_coefficients(self):
+        """(sde_drift, gamma2, flavor, mean_growth) of the simulated SDE;
+        ``mean_growth`` = -psi'(0+) drives a K0-flavored path, and is None
+        for infinite-mean mechanisms, whose recorded path is K."""
+        raise NotImplementedError
+
+    def jump_law(self, eps: float) -> JumpLaw | None:
+        """The jumps of size >= eps per unit mass; None without jumps."""
+        return None
+
+    def closed_form(self, lam: float, t: float, env) -> float | None:
+        """v_t(0, lambda) on the path ``env`` in closed form, or None."""
+        return None
+
+    def stable_params(self) -> tuple[float, float, float]:
+        """(alpha, beta, c) of psi(u) = -alpha*u + c*u^(1+beta)."""
+        raise UnsupportedMechanismError("EnvParams require a Feller or stable mechanism")
+
+    def to_dict(self) -> dict:
+        """The config document's mechanism block."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class Feller:
+class Neveu(Mechanism):
+    """psi(u) = u log u.  Infinite mean: psi'(0+) = -infinity."""
+
+    infinite_mean = True
+
+    def _psi(self, u):
+        return np.where(u > 0, u * np.log(np.where(u > 0, u, 1.0)), 0.0)
+
+    def _psi0(self, u):
+        raise UnsupportedMechanismError("psi0 undefined for the Neveu mechanism")
+
+    def largest_root(self) -> float:
+        return 1.0
+
+    def sde_coefficients(self):
+        return NEVEU_DRIFT, 0.0, "K", None
+
+    def jump_law(self, eps):
+        # mu(dx) = x^-2 dx: Pareto index 1 above eps, compensation of [eps, 1)
+        # only, a Gaussian for the compensated small jumps (variance eps)
+        comp = math.log(1.0 / eps) if eps < 1.0 else 0.0
+        return JumpLaw(1.0 / eps, _pareto_sampler(eps, 1.0), -comp, eps)
+
+    def closed_form(self, lam, t, env):
+        from .flow import closed_form_neveu
+
+        return closed_form_neveu(lam, t, env)
+
+    def to_dict(self):
+        return {"kind": "neveu"}
+
+
+@dataclass(frozen=True)
+class Feller(Mechanism):
     """psi(u) = -alpha*u + gamma2*u^2 (no jumps)."""
 
     alpha: float
@@ -76,9 +182,32 @@ class Feller:
         if self.gamma2 < 0:
             raise ParameterError("gamma2 must be nonnegative")
 
+    def _psi(self, u):
+        return -self.alpha * u + self.gamma2 * u**2
+
+    def _psi0(self, u):
+        return self.gamma2 * u**2
+
+    def largest_root(self) -> float:
+        return self.alpha / self.gamma2 if self.alpha > 0 and self.gamma2 > 0 else 0.0
+
+    def sde_coefficients(self):
+        return self.alpha, self.gamma2, "K0", self.alpha
+
+    def closed_form(self, lam, t, env):
+        from .flow import closed_form_feller
+
+        return closed_form_feller(lam, t, env, self.alpha, self.gamma2)
+
+    def stable_params(self):
+        return self.alpha, 1.0, self.gamma2
+
+    def to_dict(self):
+        return {"kind": "feller", "alpha": self.alpha, "gamma2": self.gamma2}
+
 
 @dataclass(frozen=True)
-class Stable:
+class Stable(Mechanism):
     """psi(u) = -alpha*u + c*u^(1+beta), beta in (-1,0) u (0,1], sign(c)=sign(beta)."""
 
     alpha: float
@@ -96,6 +225,66 @@ class Stable:
     def jump_intensity_const(self) -> float:
         """Coefficient of z^-(2+beta) dz in the jump measure (per unit mass)."""
         return float(self.c * self.beta * (self.beta + 1.0) / _gamma_fn(1.0 - self.beta))
+
+    @property
+    def infinite_mean(self) -> bool:
+        return self.beta < 0
+
+    @property
+    def conservative(self) -> bool:
+        return self.beta > 0
+
+    def _psi(self, u):
+        return -self.alpha * u + self.c * u ** (1.0 + self.beta)
+
+    def _psi0(self, u):
+        if self.beta < 0:
+            raise UnsupportedMechanismError("psi0 undefined for beta < 0 (infinite mean)")
+        return self.c * u ** (1.0 + self.beta)
+
+    def largest_root(self) -> float:
+        if self.beta < 0:
+            return super().largest_root()
+        return (self.alpha / self.c) ** (1.0 / self.beta) if self.alpha > 0 else 0.0
+
+    def sde_coefficients(self):
+        if self.beta < 0:
+            return self.alpha, 0.0, "K", None
+        return self.alpha, self.c if self.beta == 1.0 else 0.0, "K0", self.alpha
+
+    def jump_law(self, eps):
+        # beta in (0,1): the SDE compensates every jump, so the drift removes
+        # the simulated ones' mean and a Gaussian stands in for the small
+        # ones; beta in (-1,0): nothing is compensated, the small jumps
+        # become their mean
+        b = self.beta
+        if b == 1.0:
+            return None
+        ci = self.jump_intensity_const
+        rate = ci * eps ** (-(1.0 + b)) / (1.0 + b)
+        sample = _pareto_sampler(eps, 1.0 + b)
+        if b > 0:
+            return JumpLaw(rate, sample, -(ci * eps ** (-b) / b),
+                           ci * eps ** (1.0 - b) / (1.0 - b))
+        return JumpLaw(rate, sample, -ci * eps ** (-b) / b)
+
+    def closed_form(self, lam, t, env):
+        from .flow import closed_form_stable
+
+        return closed_form_stable(lam, t, env, self.beta, self.c, self.alpha)
+
+    def stable_params(self):
+        return self.alpha, self.beta, self.c
+
+    def to_dict(self):
+        return {"kind": "stable", "alpha": self.alpha, "beta": self.beta, "c": self.c}
+
+
+def _grid_moment(x, d, mask, k):
+    # int x^k mu(dx) over the grid points in mask (trapezoid); 0 below two points
+    if mask.sum() < 2:
+        return 0.0
+    return float(np.trapezoid(x[mask] ** k * d[mask], x[mask]))
 
 
 @dataclass(frozen=True)
@@ -135,9 +324,42 @@ class TabulatedMeasure:
             val += self.tail_mass * float(f(self.tail_location))
         return val
 
+    def phi(self, u):
+        """int (1 - e^{-u x}) mu(dx), the immigration part of phi (u >= 0)."""
+        x = self.x
+        out = np.trapezoid(-np.expm1(-np.outer(np.atleast_1d(u), x)) * self.density,
+                           x, axis=-1).reshape(np.shape(u))
+        if self.tail_mass > 0:
+            out = out + self.tail_mass * -np.expm1(-u * self.tail_location)
+        return out
+
+    def phi_path_integral(self, grid, log_u) -> float:
+        """int phi(e^{log_u(s)}) ds by composite Simpson on the grid."""
+        return float(integrate.simpson(self.phi(np.exp(log_u)), x=grid))
+
+    def jump_law(self, eps: float) -> JumpLaw:
+        """The immigration jumps of size >= eps (the density, linear in each
+        cell, and the tail atom); the drift is the mean of those below eps."""
+        x, d = self.x, self.density
+        big = x >= eps
+        if big.sum() < 2:
+            # no tabulated mass above eps: every jump is the tail atom
+            xs, cdf = np.array([eps, eps]), np.zeros(2)
+        else:
+            xs, ds = x[big], d[big]
+            cdf = np.concatenate([[0.0], np.cumsum(0.5 * (ds[1:] + ds[:-1]) * np.diff(xs))])
+        rate = float(cdf[-1]) + self.tail_mass
+        tail = self.tail_location
+
+        def sample(rng, n):
+            u = rng.random(n) * rate
+            return np.where(u < cdf[-1], np.interp(u, cdf, xs), tail)
+
+        return JumpLaw(rate, sample, _grid_moment(x, d, x < eps, 1))
+
 
 @dataclass(frozen=True)
-class GeneralCB:
+class GeneralCB(Mechanism):
     """General mechanism (q, a, gamma2, mu) with tabulated jump measure."""
 
     q: float
@@ -151,8 +373,55 @@ class GeneralCB:
         if self.gamma2 < 0:
             raise ParameterError("gamma2 must be nonnegative")
 
+    @property
+    def conservative(self) -> bool:
+        return self.q == 0
 
-Mechanism = Neveu | Feller | Stable | GeneralCB
+    def _psi(self, u):
+        out = -self.q - self.a * u + self.gamma2 * u**2
+        if self.mu is not None:
+            x = self.mu.x
+            uu = np.atleast_1d(u)
+            ex = np.exp(-np.outer(uu, x)) - 1.0 + np.outer(uu, x) * (x < 1.0)
+            out = out + np.trapezoid(ex * self.mu.density, x, axis=-1).reshape(u.shape)
+            if self.mu.tail_mass > 0:
+                xt = self.mu.tail_location
+                out = out + self.mu.tail_mass * (np.exp(-u * xt) - 1.0 + u * xt * (xt < 1.0))
+        return out
+
+    def _psi0(self, u):
+        return np.asarray(self._psi(u)) - self._slope * u
+
+    @cached_property
+    def _slope(self) -> float:
+        val = -self.a
+        if self.mu is not None:
+            # d/du at 0 of the integral term: -int_{x>=1} x mu(dx)
+            val -= self.mu.integrate(lambda x: np.where(x >= 1.0, x, 0.0))
+        return float(val)
+
+    def psi_prime_at_zero(self) -> float:
+        return self._slope
+
+    def sde_coefficients(self):
+        return self.a, self.gamma2, "K0", -self._slope
+
+    def jump_law(self, eps):
+        # mu's jumps >= eps, compensated below 1: the drift removes the mean of
+        # [eps, 1), and a Gaussian of their variance stands in for those below eps
+        if self.mu is None:
+            return None
+        x, d = self.mu.x, self.mu.density
+        return replace(self.mu.jump_law(eps),
+                       drift=-_grid_moment(x, d, (x >= eps) & (x < 1.0), 1),
+                       small_var=_grid_moment(x, d, x < eps, 2))
+
+    def to_dict(self):
+        out = {"kind": "general", "q": self.q, "a": self.a, "gamma2": self.gamma2}
+        if self.mu is not None:
+            out |= {"jump_x": self.mu.x.tolist(), "jump_density": self.mu.density.tolist(),
+                    "tail_mass": self.mu.tail_mass, "tail_location": self.mu.tail_location}
+        return out
 
 
 @dataclass(frozen=True)
@@ -171,6 +440,22 @@ class StableImmigration:
     @property
     def intensity_const(self) -> float:
         return float(self.kappa * self.beta / _gamma_fn(1.0 - self.beta))
+
+    def phi(self, u):
+        """kappa * u^beta, the immigration part of phi (u >= 0)."""
+        return self.kappa * u**self.beta
+
+    def phi_path_integral(self, grid, log_u) -> float:
+        """int kappa e^{beta log_u(s)} ds, exact for piecewise-linear log_u."""
+        from .flow import integral_exp_linear
+
+        return self.kappa * integral_exp_linear(grid, self.beta * log_u)
+
+    def jump_law(self, eps: float) -> JumpLaw:
+        """Pareto jumps of index beta above eps; the small ones by their mean."""
+        b, ci = self.beta, self.intensity_const
+        return JumpLaw(ci * eps ** (-b) / b, _pareto_sampler(eps, b),
+                       ci * eps ** (1.0 - b) / (1.0 - b))
 
 
 @dataclass(frozen=True)
@@ -194,32 +479,14 @@ class ImmigrationMechanism:
         if np.any(u < 0):
             raise ParameterError("phi is defined on u >= 0 only")
         out = self.d * u
-        if isinstance(self.nu, StableImmigration):
-            out = out + self.nu.kappa * u**self.nu.beta
-        elif isinstance(self.nu, TabulatedMeasure):
-            x = self.nu.x
-            uu = np.atleast_1d(u)
-            val = -np.expm1(-np.outer(uu, x))
-            out = out + np.trapezoid(val * self.nu.density, x, axis=-1).reshape(u.shape)
-            if self.nu.tail_mass > 0:
-                out = out + self.nu.tail_mass * -np.expm1(-u * self.nu.tail_location)
+        if self.nu is not None:
+            out = out + self.nu.phi(u)
         return out if np.ndim(out) else float(out)
 
 
 def is_infinite_mean(mech: Mechanism) -> bool:
     """True when psi'(0+) = -infinity (Neveu, or stable with beta < 0)."""
-    if isinstance(mech, Neveu):
-        return True
-    return isinstance(mech, Stable) and mech.beta < 0
-
-
-def mechanism_drift(mech: Mechanism) -> float:
-    """The linear coefficient alpha such that -psi'(0+) = alpha (finite-mean)."""
-    if is_infinite_mean(mech):
-        raise UnsupportedMechanismError("drift undefined for infinite-mean mechanisms")
-    if isinstance(mech, (Feller, Stable)):
-        return mech.alpha
-    return -psi_prime_at_zero(mech)
+    return mech.infinite_mean
 
 
 def eval_psi(mech: Mechanism, u):
@@ -227,36 +494,13 @@ def eval_psi(mech: Mechanism, u):
     u = np.asarray(u, float)
     if (u < 0).any():
         raise ParameterError("psi is defined on u >= 0 only")
-    if isinstance(mech, Neveu):
-        out = np.where(u > 0, u * np.log(np.where(u > 0, u, 1.0)), 0.0)
-    elif isinstance(mech, Feller):
-        out = -mech.alpha * u + mech.gamma2 * u**2
-    elif isinstance(mech, Stable):
-        out = -mech.alpha * u + mech.c * u ** (1.0 + mech.beta)
-    else:
-        out = -mech.q - mech.a * u + mech.gamma2 * u**2
-        if mech.mu is not None:
-            x = mech.mu.x
-            uu = np.atleast_1d(u)
-            ex = np.exp(-np.outer(uu, x)) - 1.0 + np.outer(uu, x) * (x < 1.0)
-            out = out + np.trapezoid(ex * mech.mu.density, x, axis=-1).reshape(u.shape)
-            if mech.mu.tail_mass > 0:
-                xt = mech.mu.tail_location
-                out = out + mech.mu.tail_mass * (np.exp(-u * xt) - 1.0 + u * xt * (xt < 1.0))
+    out = mech._psi(u)
     return out if out.ndim else float(out)
 
 
 def psi_prime_at_zero(mech: Mechanism) -> float:
     """psi'(0+).  Raises for infinite-mean mechanisms."""
-    if is_infinite_mean(mech):
-        raise UnsupportedMechanismError("psi'(0+) = -infinity for this mechanism")
-    if isinstance(mech, (Feller, Stable)):
-        return -mech.alpha
-    val = -mech.a
-    if mech.mu is not None:
-        # d/du at 0 of the integral term: -int_{x>=1} x mu(dx)
-        val -= mech.mu.integrate(lambda x: np.where(x >= 1.0, x, 0.0))
-    return float(val)
+    return mech.psi_prime_at_zero()
 
 
 def eval_psi0(mech: Mechanism, u):
@@ -264,16 +508,7 @@ def eval_psi0(mech: Mechanism, u):
     u = np.asarray(u, float)
     if (u < 0).any():
         raise ParameterError("psi0 is defined on u >= 0 only")
-    if isinstance(mech, Feller):
-        out = mech.gamma2 * u**2
-    elif isinstance(mech, Stable):
-        if mech.beta < 0:
-            raise UnsupportedMechanismError("psi0 undefined for beta < 0 (infinite mean)")
-        out = mech.c * u ** (1.0 + mech.beta)
-    elif isinstance(mech, Neveu):
-        raise UnsupportedMechanismError("psi0 undefined for the Neveu mechanism")
-    else:
-        out = np.asarray(eval_psi(mech, u)) - psi_prime_at_zero(mech) * u
+    out = mech._psi0(u)
     return out if np.ndim(out) else float(out)
 
 
@@ -282,18 +517,11 @@ def eval_capital_phi(mech: Mechanism, u):
     u = np.asarray(u, float)
     if np.any(u < 0):
         raise ParameterError("Phi is defined on u >= 0 only")
-    q = mech.q if isinstance(mech, GeneralCB) else 0.0
-    if np.any(u == 0):
-        if q > 0:
-            raise ParameterError("Phi(0) = -infinity when q > 0")
-        out = np.where(u > 0, _phi_pos(mech, np.where(u > 0, u, 1.0)), 0.0)
-        return out if out.ndim else float(out)
-    out = _phi_pos(mech, u)
-    return out if np.ndim(out) else float(out)
-
-
-def _phi_pos(mech, u):
-    return np.asarray(eval_psi0(mech, u)) / u
+    if np.any(u == 0) and eval_psi(mech, 0.0) < 0:
+        raise ParameterError("Phi(0) = -infinity when q > 0")
+    pos = np.where(u > 0, u, 1.0)
+    out = np.where(u > 0, np.asarray(eval_psi0(mech, pos)) / pos, 0.0)
+    return out if out.ndim else float(out)
 
 
 def psi_largest_root(mech: Mechanism) -> float:
@@ -302,13 +530,7 @@ def psi_largest_root(mech: Mechanism) -> float:
     This is the classical extinction exponent of the zero-environment
     process; it is unrelated to the environment quantity ``EnvParams.eta``.
     """
-    if isinstance(mech, Feller):
-        return mech.alpha / mech.gamma2 if mech.alpha > 0 and mech.gamma2 > 0 else 0.0
-    if isinstance(mech, Stable) and mech.beta > 0:
-        return (mech.alpha / mech.c) ** (1.0 / mech.beta) if mech.alpha > 0 else 0.0
-    if isinstance(mech, Neveu):
-        return 1.0
-    raise UnsupportedMechanismError("largest root exposed for Feller/stable (beta>0) only")
+    return mech.largest_root()
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +564,7 @@ class EnvParams:
 
     @classmethod
     def from_mechanism(cls, mech: Mechanism, sigma: float) -> "EnvParams":
-        if isinstance(mech, Feller):
-            return cls(sigma, mech.alpha, 1.0, mech.gamma2)
-        if isinstance(mech, Stable):
-            return cls(sigma, mech.alpha, mech.beta, mech.c)
-        raise UnsupportedMechanismError("EnvParams require a Feller or stable mechanism")
+        return cls(sigma, *mech.stable_params())
 
     def mechanism(self) -> Mechanism:
         if self.beta == 1.0:

@@ -118,6 +118,18 @@ class TestCli:
         csvs = [(tmp_path / n / "path0.csv").read_bytes() for n in ("a", "b")]
         assert csvs[0] == csvs[1]
 
+    def test_default_record_times_on_uneven_grid(self, tmp_path):
+        # T/dt = 16.7: the default record times are put on the 17-step grid
+        doc = dict(BASE) | {
+            "experiment": {"kind": "simulate", "z0": 1.0, "T": 0.5, "n_paths": 50},
+            "numerics": {"dt": 0.03},
+        }
+        cfg = write_cfg(tmp_path, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        rows = (tmp_path / "a" / "path0.csv").read_text().splitlines()[1:]
+        times = [float(r.split(",")[0]) for r in rows]
+        assert len(times) == 18 and times[-1] == 0.5
+
     def test_seed_override_changes_results(self, tmp_path):
         doc = dict(BASE) | {
             "experiment": {"kind": "simulate", "z0": 1.0, "T": 0.5, "n_paths": 500},
@@ -156,6 +168,33 @@ class TestCli:
         doc = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert doc["summary"]["theta"] == pytest.approx(0.5)
         assert doc["summary"]["martingale_check"][0]["pass"]
+
+    def test_qprocess_default_times_on_uneven_grid(self, tmp_path):
+        # dt = 0.03 gives 67 steps to T = 2: the default times 0.5, 1, 2
+        # are put on that grid
+        doc = dict(BASE) | {
+            "mechanism": {"kind": "feller", "alpha": -0.5, "gamma2": 1.0},
+            "experiment": {"kind": "qprocess", "z0": 1.0, "n_paths": 200},
+            "numerics": {"dt": 0.03},
+            "out": str(tmp_path / "o"),
+        }
+        cfg = write_cfg(tmp_path, doc)
+        assert main(["qprocess", "--config", str(cfg)]) == 0
+        doc = json.loads((tmp_path / "o" / "summary.json").read_text())
+        ts = [c["t"] for c in doc["summary"]["martingale_check"]]
+        assert len(ts) == 3 and ts[-1] == 2.0
+
+    def test_qprocess_off_grid_times_rejected(self, tmp_path, capsys):
+        doc = dict(BASE) | {
+            "mechanism": {"kind": "feller", "alpha": -0.5, "gamma2": 1.0},
+            "experiment": {"kind": "qprocess", "z0": 1.0, "t_grid": [0.5, 2.0],
+                           "n_paths": 200},
+            "numerics": {"dt": 0.03},
+            "out": str(tmp_path / "o"),
+        }
+        cfg = write_cfg(tmp_path, doc)
+        assert main(["qprocess", "--config", str(cfg)]) == 1
+        assert "multiples of the step" in capsys.readouterr().err
 
     def test_env_var_config_dir(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, dict(BASE) | {"out": str(tmp_path / "o")})

@@ -169,6 +169,11 @@ class TestDormandPrince:
         solve_backward_batch(Stable(0.5, 0.5, 1.0), 1.0, 1.0, grid, K, "K", tol=1e-10)
         assert len(calls) <= 7 * 1000
 
+    def test_unknown_flavor_rejected(self):
+        grid, K = sample_env_paths(1.0, -0.5, 1.0, 10, 20, 2)
+        with pytest.raises(ParameterError, match="flavor"):
+            solve_backward_batch(Feller(0.5, 1.0), 1.0, 1.0, grid, K, "k0")
+
     def test_unmet_tolerance_raises(self):
         env = sample_env_path(1.0, -0.5, 1.0, 10, seed=19, flavor="K")
         with pytest.raises(SolverError, match=r"s = 0\.9\b.*error estimate"):

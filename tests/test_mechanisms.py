@@ -122,6 +122,44 @@ class TestStableFellerEmbedding:
         assert not is_infinite_mean(Feller(0.0, 1.0))
 
 
+class TestMechanismAnswers:
+    def test_conservative_flags(self):
+        assert Neveu().conservative and Feller(0.3, 1.0).conservative
+        assert Stable(0.0, 0.5, 1.0).conservative
+        assert not Stable(0.0, -0.5, -1.0).conservative
+        assert GeneralCB(0.0, 0.2, 1.0).conservative
+        assert not GeneralCB(0.1, 0.2, 1.0).conservative
+
+    def test_stable_params(self):
+        assert Feller(0.3, 2.0).stable_params() == (0.3, 1.0, 2.0)
+        assert Stable(0.3, -0.5, -2.0).stable_params() == (0.3, -0.5, -2.0)
+        for mech in (Neveu(), GeneralCB(0.0, 0.2, 1.0)):
+            with pytest.raises(UnsupportedMechanismError):
+                mech.stable_params()
+
+    def test_sde_coefficients(self):
+        assert Feller(0.3, 2.0).sde_coefficients() == (0.3, 2.0, "K0", 0.3)
+        assert Stable(0.3, 1.0, 2.0).sde_coefficients() == (0.3, 2.0, "K0", 0.3)
+        assert Stable(0.3, -0.5, -2.0).sde_coefficients() == (0.3, 0.0, "K", None)
+        assert Neveu().sde_coefficients()[2:] == ("K", None)
+
+    def test_general_mean_growth_counts_large_jumps(self):
+        x = np.linspace(0.5, 2.0, 301)
+        mech = GeneralCB(0.0, 0.2, 1.0, TabulatedMeasure(x, np.ones_like(x)))
+        growth = mech.sde_coefficients()[3]
+        # a + int_1^2 x dx; the trapezoid rule smears the step at x = 1 over a cell
+        assert growth == pytest.approx(0.2 + 1.5, abs=0.005)
+        assert growth == -psi_prime_at_zero(mech)
+
+    def test_jump_laws(self):
+        assert Feller(0.3, 1.0).jump_law(1e-3) is None
+        assert Stable(0.3, 1.0, 1.0).jump_law(1e-3) is None
+        assert GeneralCB(0.0, 0.2, 1.0).jump_law(1e-3) is None
+        law = Neveu().jump_law(0.01)
+        assert law.rate == pytest.approx(100.0) and law.small_var == 0.01
+        assert law.drift == pytest.approx(-np.log(100.0))
+
+
 class TestMechanismValidation:
     def test_stable_sign_mismatch(self):
         with pytest.raises(ParameterError):

@@ -10,10 +10,12 @@ from cbbre.errors import ParameterError
 from cbbre.flow import suffix_integral_exp_linear
 from cbbre.mechanisms import (
     Feller,
+    GeneralCB,
     ImmigrationMechanism,
     Neveu,
     Stable,
     StableImmigration,
+    TabulatedMeasure,
 )
 from cbbre.simulate import (
     SimConfig,
@@ -54,6 +56,24 @@ class TestBasics:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ParameterError):
             SimConfig(scheme="no-such-scheme")
+
+    def test_record_times_within_slack_of_the_grid(self):
+        cfg = SimConfig(dt=0.1, seed=2)
+        b = simulate_cbbre_batch(Feller(0.2, 1.0), 1.0, 1.0, 1.0, cfg, 10,
+                                 record_times=[1.0, 3 * 0.1])
+        assert np.array_equal(b.times, [0.30000000000000004, 1.0])
+
+    @pytest.mark.parametrize("times, match", [
+        ([0.5, 0.50004, 1.0], "multiples of the step"),
+        ([0.5, 0.5, 1.0], "distinct"),
+        ([-0.3, 1.0], r"in \[0, 1\]"),
+        ([0.5, 2.0], r"in \[0, 1\]"),
+    ])
+    def test_record_times_off_grid_rejected(self, times, match):
+        cfg = SimConfig(dt=1e-3, seed=2)
+        with pytest.raises(ParameterError, match=match):
+            simulate_cbbre_batch(Feller(0.2, 1.0), 1.0, 1.0, 1.0, cfg, 10,
+                                 record_times=times)
 
     def test_nonnegative_everywhere(self):
         cfg = SimConfig(dt=0.005, seed=4)
@@ -254,6 +274,46 @@ class TestImmigration:
         b = simulate_cbbre_batch(Feller(-1.0, 1.0), 1.0, 1.0, 4.0, cfg, 5000,
                                  record_times=[4.0])
         assert np.array_equal(a.z, b.z)
+
+
+def _tabulated(scale, tail_mass, tail_location):
+    # density scale*e^-x on [0.01, 3], with 1 a grid point, plus a tail atom
+    x = np.concatenate([np.linspace(0.01, 1.0, 100), np.linspace(1.0, 3.0, 101)[1:]])
+    return TabulatedMeasure(x, scale * np.exp(-x), tail_mass, tail_location)
+
+
+class TestTabulatedJumps:
+    def test_general_mechanism_mean_is_martingale(self):
+        # E[Z_T e^{-K0_T}] = z0: the thinned jumps, the compensating drift of
+        # [eps, 1) and the K0 drift -psi'(0+) must agree
+        mech = GeneralCB(0.0, 0.3, 0.5, _tabulated(0.5, 0.1, 4.0))
+        cfg = SimConfig(dt=2e-3, seed=21)
+        b = simulate_cbbre_batch(mech, 1.0, 1.0, 1.0, cfg, 20000,
+                                 record_times=[1.0])
+        rep = martingale_diagnostics(b, 1.0)
+        assert abs(rep.mean_ratio - 1.0) <= 3 * rep.stderr
+
+    def test_tabulated_immigration_mean(self):
+        # E[Z_T e^{-K0_T}] = z0 + m_imm E[int_0^T e^{-K0_s} ds], with
+        # m_imm = d + int x nu(dx)
+        nu = _tabulated(1.0, 0.2, 3.5)
+        imm = ImmigrationMechanism(0.3, nu)
+        m_imm = imm.d + nu.integrate(lambda x: x)
+        cfg = SimConfig(dt=2e-3, seed=22)
+        b = simulate_cbibre_batch(Feller(0.5, 1.0), imm, 1.0, 1.0, 1.0, cfg, 4000)
+        assert b.env_flavor == "K0"
+        A = suffix_integral_exp_linear(b.times, -b.env_values)[:, 0]
+        resid = b.z[:, -1] * np.exp(-b.env_values[:, -1]) - 1.0 - m_imm * A
+        se = resid.std(ddof=1) / math.sqrt(resid.size)
+        assert abs(resid.mean()) <= 3 * se
+
+
+    def test_tail_atom_alone_above_threshold(self):
+        # no tabulated mass at or above eps: every jump is the tail atom
+        nu = TabulatedMeasure(np.array([1e-4, 5e-4]), np.array([1.0, 1.0]), 0.5, 2.0)
+        law = nu.jump_law(1e-3)
+        assert law.rate == 0.5
+        assert np.all(law.sample(_rng.stream(23, 0), 1000) == 2.0)
 
 
 class TestNeveuSimulation:
