@@ -113,63 +113,47 @@ def _survival_env(cfg: ExperimentConfig) -> EnvParams:
     return EnvParams.from_mechanism(cfg.mechanism, cfg.sigma)
 
 
-def _run_survival(cfg: ExperimentConfig, out: Path):
-    from .longterm import survival_prob
-
+def _run_dual(cfg: ExperimentConfig, out: Path, prob, quad_method: str,
+              quantity: str, default_t: float):
+    """``prob`` (survival_prob or explosion_prob) on the t grid by Monte Carlo,
+    by ``quad_method`` or both, checked against each other."""
     exp = cfg.experiment
     env = _survival_env(cfg)
     z = float(exp.get("z", 1.0))
-    ts = [float(t) for t in exp.get("t_grid", [1.0])]
+    ts = [float(t) for t in exp.get("t_grid", [default_t])]
     method = exp.get("method", "both")
     n_paths = int(exp.get("n_paths", 30000))
-    rows, ok = [], True
-    gaps = []
+    rows, ok, gaps = [], True, []
     for t in ts:
         ests = []
         if method in ("mc", "both"):
-            ests.append(survival_prob(z, t, env, "mc", n_paths=n_paths, seed=cfg.seed))
-        if method in ("quadrature", "both"):
-            ests.append(survival_prob(z, t, env, "quadrature"))
-        rows.extend(_est_row(t, "survival", e) for e in ests)
+            ests.append(prob(z, t, env, "mc", n_paths=n_paths, seed=cfg.seed))
+        if method != "mc":
+            ests.append(prob(z, t, env, quad_method if method == "both" else method))
+        rows.extend(_est_row(t, quantity, e) for e in ests)
         if len(ests) == 2:
             gap = abs(ests[0].value - ests[1].value)
             tol = max(3.0 * ests[0].stderr, 1e-2)
             gaps.append({"t": t, "gap": gap, "tol": tol, "pass": gap <= tol})
             ok &= gap <= tol
-    emit_plot_data(rows, out / "survival.csv",
+    emit_plot_data(rows, out / f"{quantity}.csv",
                    ["t", "quantity", "estimate", "stderr", "method"])
     return ok, {"z": z, "method": method, "dual_checks": gaps}, rows
+
+
+def _run_survival(cfg: ExperimentConfig, out: Path):
+    from .longterm import survival_prob
+
+    return _run_dual(cfg, out, survival_prob, "quadrature", "survival", 1.0)
 
 
 def _run_explosion(cfg: ExperimentConfig, out: Path):
     from .longterm import explosion_prob
 
-    exp = cfg.experiment
-    env = _survival_env(cfg)
-    z = float(exp.get("z", 1.0))
-    ts = [float(t) for t in exp.get("t_grid", [5.0])]
-    method = exp.get("method", "both")
-    n_paths = int(exp.get("n_paths", 30000))
-    quad_method = "quadrature" if env.eta > -1.0 else "quadrature-hw"
-    rows, ok, gaps = [], True, []
-    for t in ts:
-        ests = []
-        if method in ("mc", "both"):
-            ests.append(explosion_prob(z, t, env, "mc", n_paths=n_paths, seed=cfg.seed))
-        if method in ("quadrature", "quadrature-hw", "both"):
-            m = quad_method if method == "both" else method
-            ests.append(explosion_prob(z, t, env, m))
-        rows.extend(_est_row(t, "explosion", e) for e in ests)
-        positive = all(e.value > 0 for e in ests)
-        ok &= positive
-        if len(ests) == 2:
-            gap = abs(ests[0].value - ests[1].value)
-            tol = max(3.0 * ests[0].stderr, 1e-2)
-            gaps.append({"t": t, "gap": gap, "tol": tol, "pass": gap <= tol})
-            ok &= gap <= tol
-    emit_plot_data(rows, out / "explosion.csv",
-                   ["t", "quantity", "estimate", "stderr", "method"])
-    return ok, {"z": z, "method": method, "dual_checks": gaps}, rows
+    quad_method = "quadrature" if _survival_env(cfg).eta > -1.0 else "quadrature-hw"
+    ok, summary, rows = _run_dual(cfg, out, explosion_prob, quad_method,
+                                  "explosion", 5.0)
+    return ok and all(r["estimate"] > 0 for r in rows), summary, rows
 
 
 def _run_asymptotics(cfg: ExperimentConfig, out: Path):
@@ -259,13 +243,16 @@ def _run_immigration(cfg: ExperimentConfig, out: Path):
     try:
         env = _survival_env(cfg)
     except UnsupportedMechanismError:
-        raise ConfigError("immigration experiments need a stable/feller mechanism",
-                          "mechanism") from None
+        env = None
+    if env is None or not 0.0 < env.beta < 1.0:
+        raise ConfigError("immigration experiments need a stable mechanism with "
+                          "beta in (0, 1)", "mechanism")
+    if "beta" in exp or "c" in exp:
+        raise ConfigError("beta and c come from the mechanism block", "experiment")
+    beta, c = env.beta, env.c
     z = float(exp.get("z", 1.0))
     lam = float(exp.get("lam", 1.0))
     t = float(exp.get("t", 1.0))
-    beta = float(exp.get("beta", getattr(cfg.mechanism, "beta", 0.5)))
-    c = float(exp.get("c", getattr(cfg.mechanism, "c", 1.0)))
     kappa = float(exp.get("kappa", 0.5))
     n_steps = int(exp.get("n_steps", 1000))
     path = sample_env_path(cfg.sigma, env.m, t, n_steps, cfg.seed, flavor="K0")
@@ -273,9 +260,8 @@ def _run_immigration(cfg: ExperimentConfig, out: Path):
     summary = {"z": z, "lam": lam, "t": t, "closed_form": cf}
     ok = True
     if exp.get("check_ode", True):
-        mech = Stable(env.alpha, beta, c)
         imm = ImmigrationMechanism(0.0, StableImmigration(beta, kappa))
-        ode = cbibre_cond_laplace(z, lam, t, path, mech, imm,
+        ode = cbibre_cond_laplace(z, lam, t, path, cfg.mechanism, imm,
                                   tol=cfg.numerics["ode_tol"])
         summary["ode_pipeline"] = ode
         summary["ode_gap"] = abs(ode - cf)
@@ -493,7 +479,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(cfg)
-    except MethodError as exc:
+    except (ConfigError, MethodError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CBBREError as exc:

@@ -22,7 +22,8 @@ import numpy as np
 from scipy import special
 
 from . import rng as _rng
-from .environment import MCEstimate, mc_log_exp_functionals
+from .environment import (MCEstimate, _default_v_rule, mc_log_exp_functionals,
+                          my_density_grid)
 from .errors import ParameterError, RegimeError
 from .longterm import (
     AsymptoticConstant,
@@ -39,7 +40,7 @@ from .mechanisms import (
     SurvivalRegime,
     classify_regime,
 )
-from .numerics import gamma_power_laplace, gl_panels
+from .numerics import _gamma_rule, gamma_power_laplace, gl_panels
 
 __all__ = [
     "U",
@@ -87,8 +88,11 @@ def U_vectorized(env: EnvParams):
     return fn
 
 
-def _chunked_rows(fn, z, block: int = 8000):
-    # keep (paths x nodes) temporaries bounded
+def _chunked_rows(fn, z, n_nodes: int):
+    # fn over max(z, 0) in row blocks: (rows x nodes) temporaries stay
+    # within 8000 x 2400 elements
+    z = np.maximum(np.asarray(z, float), 0.0)
+    block = max(1, min(8000, 19_200_000 // n_nodes))
     out = np.empty(z.size)
     for i in range(0, z.size, block):
         out[i:i + block] = fn(z[i:i + block])
@@ -107,7 +111,7 @@ def _build_u(env: EnvParams):
         def rows(zz):
             return pref * (-np.expm1(-np.outer(zz * kk, w_nodes)) @ weight)
 
-        return lambda z: _chunked_rows(rows, np.maximum(np.asarray(z, float), 0.0))
+        return lambda z: _chunked_rows(rows, z, w_nodes.size)
     if reg is SurvivalRegime.WEAKLY_SUBCRITICAL:
         v, weight = _phi_weights(eta)
         pref = 8.0 / (b**3 * s**3)
@@ -120,7 +124,7 @@ def _build_u(env: EnvParams):
             np.expm1(np.negative(arg, out=arg), out=arg)
             return pref * -(arg @ weight)
 
-        return lambda z: _chunked_rows(rows, np.maximum(np.asarray(z, float), 0.0))
+        return lambda z: _chunked_rows(rows, z, v.size)
     if reg is SurvivalRegime.INTERMEDIATELY_SUBCRITICAL:
         c = math.sqrt(2.0 / np.pi) * kk * special.gamma(1.0 / b) / (b * s)
         return lambda z: c * np.maximum(np.asarray(z, float), 0.0)
@@ -185,16 +189,13 @@ def U_star(z: float, env: EnvParams) -> float:
 def U_star_vectorized(env: EnvParams):
     """Vectorized U_* on a fixed Gamma quadrature (for path reweighting)."""
     _require_supercritical(env)
-    shape = -env.eta
-    x, w = gl_panels(np.geomspace(1e-10, 60.0 + 12.0 * shape, 200), 12)
-    weight = w * x ** (shape - 1.0) * np.exp(-x) / special.gamma(shape)
+    x, weight = _gamma_rule(-env.eta, 1.0 / env.beta)
     pow_x = x ** (1.0 / env.beta)
-    kk = env.k
 
     def rows(zz):
-        return np.exp(-kk * np.outer(zz, pow_x)) @ weight
+        return np.exp(-env.k * np.outer(zz, pow_x)) @ weight
 
-    return lambda z: _chunked_rows(rows, np.maximum(np.asarray(z, float), 0.0))
+    return lambda z: _chunked_rows(rows, z, x.size)
 
 
 def h_fn(x, y, k: float, beta: float):
@@ -221,6 +222,17 @@ def h_bounds(x, y, eps: float, k: float, beta: float):
     return lower, upper
 
 
+def _gamma_h_integral(z: float, env: EnvParams, y, wy) -> float:
+    """sum_j wy_j E[h(z^beta G, z^beta y_j)] over G ~ Gamma(-eta)."""
+    x, wx = _gamma_rule(-env.eta, 1.0 / env.beta)
+    zb = z**env.beta
+
+    def rows(xx):
+        return h_fn(zb * xx[:, None], zb * y[None, :], env.k, env.beta) @ wy
+
+    return float(wx @ _chunked_rows(rows, x, y.size))
+
+
 def conditioned_survival(z: float, t: float, env: EnvParams,
                          n_mc: int = 100_000, n_steps: int | None = None,
                          seed: int = 0, method: str = "formula-mc") -> MCEstimate:
@@ -238,15 +250,8 @@ def conditioned_survival(z: float, t: float, env: EnvParams,
     nu = env.beta**2 * env.sigma**2 * t / 4.0
     ustar = U_star(z, env)
     if method == "quadrature":
-        from .environment import my_density_grid, _default_v_rule
-
-        shape = -env.eta
-        x, wx = gl_panels(np.geomspace(1e-10, 60.0 + 12.0 * shape, 240), 16)
-        wx = wx * x ** (shape - 1.0) * np.exp(-x) / special.gamma(shape)
-        v, wv = _default_v_rule(nu, abs(env.eta))
-        wv = wv * my_density_grid(v, nu, abs(env.eta))
-        H = h_fn(z**env.beta * x[:, None], z**env.beta * v[None, :], env.k, env.beta)
-        val = float(wx @ H @ wv) / ustar
+        v, wv = _default_v_rule(nu, -env.eta)
+        val = _gamma_h_integral(z, env, v, wv * my_density_grid(v, nu, -env.eta)) / ustar
         return MCEstimate(val, 0.0, 0, "quadrature",
                           {"nu": nu, "eta": env.eta, "u_star": ustar})
     n_steps = n_steps or max(400, int(round(2000 * nu)))
@@ -270,12 +275,7 @@ def asympt_conditioned_constant(z: float, env: EnvParams) -> AsymptoticConstant:
     b, s, kk, eta = env.beta, env.sigma, env.k, env.eta
     ustar = U_star(z, env)
     if reg is ConditionedRegime.WEAKLY_SUPERCRITICAL:
-        ae = abs(eta)
-        x, wx = gl_panels(np.geomspace(1e-10, 60.0 + 12.0 * ae, 200), 12)
-        wx = wx * x ** (ae - 1.0) * np.exp(-x)
-        y, wy = _phi_weights(ae)
-        H = h_fn(z**b * x[:, None], z**b * y[None, :], kk, b)
-        const = 8.0 / (b**3 * s**3 * special.gamma(ae) * ustar) * float(wx @ H @ wy)
+        const = 8.0 / (b**3 * s**3 * ustar) * _gamma_h_integral(z, env, *_phi_weights(-eta))
         return AsymptoticConstant(reg.value, 1.5, env.m**2 / (2.0 * s**2), const, "quadrature")
     if reg is ConditionedRegime.INTERMEDIATELY_SUPERCRITICAL:
         # E[e^{-zk G^{1/b}} G^{1/b}] over G ~ Gamma(2) = Gamma(1/b+1) * laplace form

@@ -3,9 +3,14 @@
 The random environment is a drifted Brownian motion sampled exactly on a
 grid: ``K_t = sigma*B_t - sigma^2 t/2`` (flavor ``"K"``) or
 ``K0_t = sigma*B_t + m t`` (flavor ``"K0"``).  Everything downstream is a
-path functional of ``int exp(theta * K_s) ds``, so the integrals here are
-accumulated in log space; supercritical parameter sets push the integrand
-across hundreds of orders of magnitude.
+path functional of ``int exp(theta * K_s) ds``, which has two rules here
+because it stands for two objects: ``exp_linear_suffix`` integrates each
+segment exactly with the path linear between grid points (the declared path
+model of the closed forms and the solver), and ``log_exp_functional`` is the
+trapezoid, first-order unbiased for the Brownian functional that Monte Carlo
+estimates (the README's numerical notes say why).  Both scale each path by
+its largest term: supercritical parameter sets push the integrand across
+hundreds of orders of magnitude.
 
 The analytic side of the module evaluates the law of
 
@@ -42,6 +47,9 @@ __all__ = [
     "ExpFunctional",
     "exp_functional",
     "log_exp_functional",
+    "exp_linear_suffix",
+    "integral_exp_linear",
+    "suffix_integral_exp_linear",
     "dufresne_law",
     "my_density",
     "my_density_grid",
@@ -209,6 +217,36 @@ def log_exp_functional(grid, values, theta: float):
     np.exp(V, out=V)
     out = np.log(V @ w) + top
     return out if np.ndim(values) == 2 else float(out[0])
+
+
+def exp_linear_suffix(grid, w):
+    """Exact int_s^T exp(w(u)) du at every grid point s, w linear between
+    grid points, as ``(S, top)``: the integrals are S * e^top, ``top`` being
+    the largest value of each row of ``w`` ((n,) or (paths, n)), and
+    log S[..., 0] + top is the log of the whole integral.  No exp overflows.
+    """
+    g = np.asarray(grid, float)
+    W = np.atleast_2d(np.asarray(w, float))
+    top = W.max(axis=1)
+    # a segment from a to b holds dt e^(max(a, b) - top) (1 - e^-|b-a|)/|b-a|
+    hi = np.maximum(W[:, :-1], W[:, 1:]) - top[:, None]
+    gap = np.abs(np.diff(W, axis=1))
+    ratio = np.where(gap > 1e-8, -np.expm1(-gap) / np.maximum(gap, 1e-8), 1.0 - 0.5 * gap)
+    seg = np.exp(hi, out=hi) * ratio * np.diff(g)
+    S = np.zeros_like(W)
+    S[:, :-1] = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
+    return (S, top) if np.ndim(w) == 2 else (S[0], float(top[0]))
+
+
+def suffix_integral_exp_linear(grid, w):
+    """int_s^T exp(w(u)) du at every grid point s, shaped like ``w`` (exact segments)."""
+    S, top = exp_linear_suffix(grid, w)
+    return S * np.exp(top)[..., None]
+
+
+def integral_exp_linear(grid, w):
+    """int exp(w(u)) du with w piecewise linear on the grid (exact)."""
+    return float(suffix_integral_exp_linear(grid, w)[0])
 
 
 def exp_functional(path: EnvPath, theta: float) -> ExpFunctional:
@@ -424,11 +462,14 @@ def _brownian_rows(gen, m: int, grid):
     return B
 
 
-def mc_log_exp_functionals(eta: float, t: float, n: int, n_steps: int,
-                           seed: int, chunk: int | None = None):
+#: path-steps per chunk of paths in mc_log_exp_functionals and lemma1_moments
+_MC_CHUNK_STEPS = 15_000_000
+_LEMMA1_CHUNK_STEPS = 8_000_000
+
+
+def mc_log_exp_functionals(eta: float, t: float, n: int, n_steps: int, seed: int):
     """Samples of log I_t^(eta) = log int_0^t exp(2(eta s + B_s)) ds."""
-    if chunk is None:
-        chunk = max(1000, int(1.5e7 / max(n_steps, 1)))
+    chunk = max(1000, int(_MC_CHUNK_STEPS / max(n_steps, 1)))
     out = np.empty(n)
     grid = np.linspace(0.0, t, n_steps + 1)
     done = 0
@@ -464,8 +505,7 @@ class Lemma1Report:
 
 
 def lemma1_moments(eta: float, p: float, t: float, n_mc: int = 100_000,
-                   n_steps: int = 1000, seed: int = 0,
-                   chunk: int | None = None) -> Lemma1Report:
+                   n_steps: int = 1000, seed: int = 0) -> Lemma1Report:
     """Check the negative-moment identity and product bound by paired MC.
 
     Identity: E[(I_t^(eta))^-p] = e^{(2p^2-2p eta)t} E[(I_t^(-(eta-2p)))^-p].
@@ -477,8 +517,7 @@ def lemma1_moments(eta: float, p: float, t: float, n_mc: int = 100_000,
     """
     if p < 0 or t <= 0:
         raise ParameterError("need p >= 0 and t > 0")
-    if chunk is None:
-        chunk = max(1000, int(8e6 / max(n_steps, 1)))
+    chunk = max(1000, int(_LEMMA1_CHUNK_STEPS / max(n_steps, 1)))
     pref = math.exp((2.0 * p * p - 2.0 * p * eta) * t)
     mirror = -(eta - 2.0 * p)
     grid = np.linspace(0.0, t, n_steps + 1)

@@ -12,8 +12,9 @@ and the conditional survival and explosion probabilities they imply.
 
 The declared path model is linear interpolation of the environment between
 grid points.  Closed-form path functionals integrate exp(linear) segments
-exactly, so solver and closed form approximate the *same* problem and can be
-compared at solver accuracy.
+exactly (``environment.exp_linear_suffix``; ``integral_exp_linear`` and
+``suffix_integral_exp_linear`` are re-exported here), so solver and closed
+form approximate the *same* problem and can be compared at solver accuracy.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import EnvPath
+from .environment import (EnvPath, exp_linear_suffix, integral_exp_linear,
+                          suffix_integral_exp_linear)
 from .errors import ParameterError, SolverError, UnsupportedMechanismError
 from .mechanisms import Feller, Mechanism, Stable, eval_psi, eval_psi0
 
@@ -55,32 +57,6 @@ V_BLOWUP = 1e12
 # ---------------------------------------------------------------------------
 # Exact path functionals under the linear-interpolation path model
 # ---------------------------------------------------------------------------
-
-
-def _expm1_over_x(x):
-    # (e^x - 1)/x, stable near 0
-    out = np.where(np.abs(x) > 1e-8, np.expm1(x) / np.where(x == 0, 1.0, x), 1.0 + 0.5 * x)
-    return out
-
-
-def integral_exp_linear(grid, w):
-    """int exp(w(u)) du with w piecewise linear on the grid (exact)."""
-    return float(suffix_integral_exp_linear(grid, w)[0])
-
-
-def suffix_integral_exp_linear(grid, w):
-    """Array of int_s^T exp(w(u)) du at every grid point s (exact segments).
-
-    ``w`` may be (n,) or (paths, n); the result has matching leading shape.
-    """
-    g = np.asarray(grid, float)
-    W = np.atleast_2d(np.asarray(w, float))
-    dt = np.diff(g)
-    dw = np.diff(W, axis=1)
-    seg = dt * np.exp(W[:, :-1]) * _expm1_over_x(dw)
-    out = np.zeros_like(W)
-    out[:, :-1] = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
-    return out if np.ndim(w) == 2 else out[0]
 
 
 def weighted_exp_decay_integral(grid, w):
@@ -303,34 +279,20 @@ def closed_form_stable(lam: float, t: float, env: EnvPath, beta: float,
     the explosion functional (beta < 0).
     """
     _check_flavor_grid(env, t)
-    D = _drift_adjusted(env, alpha)
-    logA = _log_integral_exp_linear(env.grid, -beta * D)
-    inner_env = beta * c * math.exp(logA)
-    if np.isinf(lam):
-        if beta < 0:
-            raise ParameterError("lambda = inf is not a supported limit for beta < 0")
-        lam_term = 0.0
-    elif lam == 0.0:
-        if beta > 0:
-            raise ParameterError("lambda = 0 gives v = 0 for beta > 0 (conservative)")
-        lam_term = 0.0
-    else:
-        lam_eff = lam * (math.exp(alpha * t) if env.flavor == "K" else 1.0)
-        lam_term = lam_eff ** (-beta)
-    inner = lam_term + inner_env
-    if inner <= 0:
+    if np.isinf(lam) and beta < 0:
+        raise ParameterError("lambda = inf is not a supported limit for beta < 0")
+    if lam == 0.0 and beta > 0:
+        raise ParameterError("lambda = 0 gives v = 0 for beta > 0 (conservative)")
+    if beta * c <= 0:
         raise ParameterError("invalid parameter combination: sign(c) must equal sign(beta)")
-    return inner ** (-1.0 / beta)
-
-
-def _log_integral_exp_linear(grid, w):
-    from scipy.special import logsumexp
-
-    g = np.asarray(grid, float)
-    W = np.asarray(w, float)
-    dw = np.diff(W)
-    seg_log = W[:-1] + np.log(np.diff(g)) + np.log(_expm1_over_x(dw))
-    return float(logsumexp(seg_log))
+    # v = (lam_eff^-beta + beta c A)^(-1/beta), A = int e^{-beta D}, summed in
+    # log space so that neither A nor e^{alpha t} overflows
+    S, top = exp_linear_suffix(env.grid, -beta * _drift_adjusted(env, alpha))
+    log_inner = math.log(beta * c * S[0]) + top
+    if 0.0 < lam < math.inf:
+        log_lam = math.log(lam) + (alpha * t if env.flavor == "K" else 0.0)
+        log_inner = np.logaddexp(log_inner, -beta * log_lam)
+    return float(np.exp(-log_inner / beta))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import EnvPath, MCEstimate, sample_env_paths
+from .environment import (EnvPath, MCEstimate, integral_exp_linear, log_exp_functional,
+                          sample_env_paths)
 from .errors import ParameterError, UnsupportedMechanismError
-from .flow import integral_exp_linear, solve_backward, suffix_integral_exp_linear
+from .flow import solve_backward
 from .mechanisms import EnvParams, ImmigrationMechanism, Mechanism, StableImmigration
-from .numerics import gl_panels
+from .numerics import _gamma_rule
 
 __all__ = [
     "ImmigrationMechanism",
@@ -121,7 +122,7 @@ def cbibre_longterm(z: float, env: EnvParams, beta: float, c: float,
             n_steps = max(600, int(round(60 * horizon)))
             grid, K = sample_env_paths(env.sigma, env.m, horizon, n_steps,
                                        seed, n_paths, stream=stream)
-            A = suffix_integral_exp_linear(grid, -beta * K)[:, 0]
+            A = np.exp(log_exp_functional(grid, K, -beta))
             vals = _stable_cbi_transform(z, lam, beta * c * A, beta, c, kappa)
             se = float(vals.std(ddof=1) / math.sqrt(n_paths))
             ests.append(MCEstimate(float(vals.mean()), se, n_paths, "mc",
@@ -160,9 +161,6 @@ def _stable_cbi_limit_transform(z, lam, m, sigma, beta, c, kappa):
     shape = 2.0 * m / (beta * sigma**2)
     if shape <= 0:
         raise ParameterError("the limit transform requires m > 0")
-    x, w = gl_panels(np.geomspace(1e-10, 60.0 + 12.0 * shape, 280), 16)
-    from scipy.special import gamma as gamma_fn
-
-    dens = w * x ** (shape - 1.0) * np.exp(-x) / gamma_fn(shape)
+    x, w = _gamma_rule(shape, 1.0 / beta)
     vals = _stable_cbi_transform(z, lam, (2.0 * c / (beta * sigma**2)) / x, beta, c, kappa)
-    return float(np.sum(dens * vals))
+    return float(np.sum(w * vals))

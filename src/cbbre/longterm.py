@@ -6,9 +6,13 @@ Everything stable reduces to functionals of the exponential drift integral
 
 with nu = beta^2 sigma^2 t / 4.  Probabilities can thus be computed two
 independent ways: Monte Carlo over environment paths, and quadrature against
-the density of 1/(2 I_nu^(eta)).  Limits as t -> infinity become Gamma
-expectations through Dufresne's identity, which is also how the five survival
-regimes and three explosion regimes get their constants.
+the density of 1/(2 I_nu^(eta)).  The Monte Carlo side integrates each
+sampled path by the trapezoid rule (``environment.log_exp_functional``),
+which is first-order unbiased for the Brownian functional; the exact-linear
+segment rule of the closed forms would be biased low by O(dt).  Limits as
+t -> infinity become Gamma expectations through Dufresne's identity, which
+is also how the five survival regimes and three explosion regimes get their
+constants.
 
 Series forms of the regime constants are formal for beta < 1 (the terms grow
 factorially); the canonical numerical object is always the Gamma-expectation
@@ -26,6 +30,7 @@ from .environment import (
     MCEstimate,
     density_expectation,
     hw_marginal_expectation,
+    log_exp_functional,
     sample_env_paths,
 )
 from .errors import MethodError, ParameterError, RegimeError
@@ -60,33 +65,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _mc_log_a(env: EnvParams, t: float, n_paths: int, n_steps: int, seed: int):
-    """log A_t over sampled environments (exact-linear segment integration)."""
-    grid, W = sample_env_paths(env.sigma, env.m, t, n_steps, seed, n_paths)
-    # exact segment integrals of exp(W), W = -beta*K0: dt e^W_i expm1(dw)/dw,
-    # each row scaled by its largest e^W_i
-    W *= -env.beta
-    dw = np.diff(W, axis=1)
-    small = np.abs(dw) <= 1e-8
-    ratio = np.expm1(dw)
-    np.divide(ratio, dw, out=ratio, where=~small)
-    ratio[small] = 1.0 + 0.5 * dw[small]
-    top = W[:, :-1].max(axis=1)
-    np.subtract(W[:, :-1], top[:, None], out=dw)
-    np.exp(dw, out=dw)
-    dw *= ratio
-    return np.log(dw @ np.diff(grid)) + top
-
-
-def _default_steps(t: float) -> int:
-    return max(400, int(round(200 * t)))
-
-
 def _mc_prob(z, t, env, n_paths, n_steps, seed, estimator) -> MCEstimate:
     # 1 - exp(-z v) averaged over sampled environments, where v = v_t(0, inf)
     # for beta > 0 (survival) and v = v_t(0, 0) for beta < 0 (explosion)
-    n_steps = n_steps or _default_steps(t)
-    log_a = _mc_log_a(env, t, n_paths, n_steps, seed)
+    n_steps = n_steps or max(400, int(round(200 * t)))
+    grid, K0 = sample_env_paths(env.sigma, env.m, t, n_steps, seed, n_paths)
+    log_a = log_exp_functional(grid, K0, -env.beta)
     arg = z * (env.beta * env.c) ** (-1.0 / env.beta) * np.exp(-log_a / env.beta)
     ps = -np.expm1(-arg)
     se = float(ps.std(ddof=1) / math.sqrt(n_paths))

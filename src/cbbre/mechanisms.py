@@ -34,6 +34,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma as _gamma_fn
 
+from .environment import integral_exp_linear
 from .errors import ParameterError, UnsupportedMechanismError
 
 __all__ = [
@@ -447,8 +448,6 @@ class StableImmigration:
 
     def phi_path_integral(self, grid, log_u) -> float:
         """int kappa e^{beta log_u(s)} ds, exact for piecewise-linear log_u."""
-        from .flow import integral_exp_linear
-
         return self.kappa * integral_exp_linear(grid, self.beta * log_u)
 
     def jump_law(self, eps: float) -> JumpLaw:

@@ -10,7 +10,8 @@ Three things live here because several modules need them:
   phi_eta both reduce to it with a = (eta+1)/2,
 * Gamma-power Laplace transforms ``E[exp(-theta * G^power)]`` for a Gamma
   variable ``G``, evaluated by generalized Gauss-Laguerre with order
-  escalation (`gamma_power_laplace`, `gamma_power_expectation`).
+  escalation (`gamma_power_laplace`, `gamma_power_expectation`), and the
+  one fixed Gamma rule of the vectorized callers (`_gamma_rule`).
 
 The confluent kernel has three zones in w: the Kummer connection series
 for small ``w``, a piecewise Chebyshev fit of log U in log w (built once per
@@ -20,6 +21,9 @@ band of ``w`` needs.  Accuracy is ~1e-13 relative; other ``a`` fall back to
 ``scipy.special.hyperu``.
 """
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 from scipy import special
@@ -292,6 +296,32 @@ def gamma_power_expectation(func, shape: float, tol: float = 1e-13, max_order: i
         prev = val
         order *= 2
     return _quad_gamma_expectation(func, shape)
+
+
+_GAMMA_MASS_EPS = 1e-16  # mass of G below the first panel
+_GAMMA_T_MIN = -700.0     # exp(t) stays a normal double above this
+_GAMMA_PANELS = 1.5       # panels of order 12 per unit of t = log x
+
+
+@functools.lru_cache(maxsize=64)
+def _gamma_rule(shape: float, power: float = 1.0):
+    """Read-only nodes x and weights w, sum(w * f(x)) ~ E[f(G)], G ~ Gamma(shape).
+
+    Gauss-Legendre panels in t = log x, where the weight x^shape e^(-x) dt
+    is smooth for every shape, from where G has mass < 1e-16 below (or
+    t = -700) to x = 60 + 12 shape; that mass is one more node, so nothing
+    near zero is lost.  f of x^power with power > 2 gets more panels.
+    """
+    lg = special.gammaln(shape + 1.0)
+    t_lo = max((math.log(_GAMMA_MASS_EPS) + lg) / shape, _GAMMA_T_MIN)
+    t_hi = math.log(60.0 + 12.0 * shape)
+    n = math.ceil(_GAMMA_PANELS * max(1.0, 0.5 * power) * (t_hi - t_lo))
+    t, w = gl_panels(np.linspace(t_lo, t_hi, n + 1), 12)
+    w *= np.exp(shape * t - np.exp(t) - special.gammaln(shape))
+    x = np.concatenate([[math.exp(t_lo)], np.exp(t)])
+    w = np.concatenate([[math.exp(shape * t_lo - lg)], w])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def gamma_power_laplace(theta: float, shape: float, power: float, tol: float = 1e-13):

@@ -200,3 +200,47 @@ class TestCli:
         cfg = write_cfg(tmp_path, dict(BASE) | {"out": str(tmp_path / "o")})
         monkeypatch.setenv("CBBRE_CONFIG_DIR", str(tmp_path))
         assert main(["asymptotics", "--config", "cfg.json"]) == 0
+
+    def test_config_error_in_run_exits_2(self, tmp_path, capsys):
+        assert main(["verify", "--suite", "nope", "--out", str(tmp_path / "v")]) == 2
+        doc = dict(BASE) | {"mechanism": {"kind": "neveu"},
+                            "experiment": {"kind": "immigration"},
+                            "out": str(tmp_path / "o")}
+        assert main(["immigration", "--config", str(write_cfg(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" not in err and "mechanism" in err
+
+
+class TestImmigrationCli:
+    def _doc(self, tmp_path, mechanism, **experiment):
+        return dict(BASE) | {
+            "mechanism": mechanism,
+            "experiment": {"kind": "immigration", "z": 1.0, "lam": 1.0, "t": 1.0,
+                           "kappa": 0.5, "n_steps": 200} | experiment,
+            "out": str(tmp_path / "o"),
+        }
+
+    def test_stable_mechanism_parameters(self, tmp_path):
+        from cbbre.environment import sample_env_path
+        from cbbre.immigration import stable_cbibre_laplace
+
+        mech = {"kind": "stable", "alpha": 0.8, "beta": 0.3, "c": 2.0}
+        cfg = write_cfg(tmp_path, self._doc(tmp_path, mech))
+        assert main(["immigration", "--config", str(cfg)]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())["summary"]
+        # K0 drift m = alpha - sigma^2/2
+        path = sample_env_path(1.0, 0.3, 1.0, 200, BASE["seed"], flavor="K0")
+        assert summary["closed_form"] == stable_cbibre_laplace(1.0, 1.0, 1.0, path,
+                                                               0.3, 2.0, 0.5)
+        assert summary["ode_gap"] <= 1e-6
+
+    @pytest.mark.parametrize("mech, experiment", [
+        ({"kind": "feller", "alpha": 0.5, "gamma2": 3.0}, {}),
+        ({"kind": "stable", "alpha": 0.5, "beta": -0.5, "c": -1.0}, {}),
+        ({"kind": "stable", "alpha": 0.5, "beta": 0.5, "c": 1.0}, {"beta": 0.5}),
+        ({"kind": "stable", "alpha": 0.5, "beta": 0.5, "c": 1.0}, {"c": 1.0}),
+    ], ids=["feller", "negative-beta", "experiment-beta", "experiment-c"])
+    def test_rejected_configs_exit_2(self, tmp_path, mech, experiment):
+        cfg = write_cfg(tmp_path, self._doc(tmp_path, mech, **experiment))
+        assert main(["immigration", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "o" / "summary.json").exists()

@@ -114,11 +114,12 @@ class TestUStar:
             assert U_star(z, env) == extinction_prob_exact_stable(z, env)
 
     def test_vectorized_accuracy(self):
-        env = derive_env(1.0, 1.5, 1.0, 1.0)
-        fn = U_star_vectorized(env)
-        z = np.array([0.0, 0.5, 2.0, 7.0])
-        ref = [U_star(float(x), env) for x in z]
-        np.testing.assert_allclose(fn(z), ref, rtol=1e-9)
+        for m in (1.0, 0.05, 0.15, 0.25):  # Gamma shapes 2, 0.1, 0.3, 0.5
+            env = derive_env(1.0, m + 0.5, 1.0, 1.0)
+            fn = U_star_vectorized(env)
+            z = np.array([0.0, 0.5, 2.0, 7.0])
+            ref = [U_star(float(x), env) for x in z]
+            np.testing.assert_allclose(fn(z), ref, rtol=1e-9)
 
     def test_martingale(self):
         env = derive_env(1.0, 1.5, 1.0, 1.0)  # m=1
@@ -188,15 +189,20 @@ class TestConditionedConstants:
 
     def test_strongly_supercritical_duality(self):
         # for beta = 1 the conditioned constant at m equals the plain
-        # survival constant at -m (h-transform duality)
+        # survival constant at -m (h-transform duality); m = 2 pairs the
+        # strongly regimes, 0.15 and 0.25 the weakly ones, whose Gamma shape
+        # |eta| = 2m is below 1
         from cbbre.longterm import asympt_survival_constant
 
-        env_p = derive_env(1.0, 2.5, 1.0, 1.0)   # m = 2
-        env_m = derive_env(1.0, -1.5, 1.0, 1.0)  # m = -2
-        a = asympt_conditioned_constant(1.0, env_p)
-        b = asympt_survival_constant(1.0, env_m)
-        assert a.constant == pytest.approx(b.constant, rel=1e-9)
-        assert a.rate_exp == pytest.approx(b.rate_exp)
+        for m in (2.0, 0.15, 0.25):
+            a = asympt_conditioned_constant(1.0, derive_env(1.0, 0.5 + m, 1.0, 1.0))
+            b = asympt_survival_constant(1.0, derive_env(1.0, 0.5 - m, 1.0, 1.0))
+            assert a.constant == pytest.approx(b.constant, rel=1e-9)
+            assert a.rate_exp == pytest.approx(b.rate_exp)
+        # m = 0.25, z = 1: the mpmath weakly subcritical constant at eta = 0.5
+        # (benchmark/reference.py, "weakly_constant" in reference.json)
+        assert a.regime == "weakly_supercritical"
+        assert abs(a.constant - 6.983809314054095) <= 1e-9
 
     def test_weakly_trend_extrapolates_to_constant(self):
         env = derive_env(1.0, 1.0, 1.0, 1.0)  # m = 0.5 weakly supercritical

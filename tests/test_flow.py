@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cbbre.flow as flow
-from cbbre.environment import EnvPath, sample_env_path, sample_env_paths
+from cbbre.environment import EnvPath, exp_linear_suffix, sample_env_path, sample_env_paths
 from cbbre.errors import ParameterError, SolverError
 from cbbre.flow import (
     closed_form_feller,
@@ -39,6 +39,15 @@ class TestPathIntegrals:
         assert out[0, 0] == pytest.approx(1.0)
         assert out[1, -1] == 0.0
 
+    def test_one_segment_spanning_800(self):
+        # int_0^1 e^{-800 + 800u} du = (1 - e^-800)/800, rising or falling
+        grid = np.array([0.0, 1.0])
+        for w in ([-800.0, 0.0], [0.0, -800.0]):
+            assert integral_exp_linear(grid, w) == pytest.approx(1.0 / 800.0, rel=1e-15)
+        S, top = exp_linear_suffix(grid, np.array([[700.0, 1500.0]]))
+        assert top[0] == 1500.0
+        assert np.log(S[0, 0]) + top[0] == pytest.approx(1500.0 - math.log(800.0), rel=1e-15)
+
 
 class TestClosedForms:
     def test_neveu_flat_unit(self):
@@ -62,6 +71,31 @@ class TestClosedForms:
     def test_stable_flat(self):
         env = make_flat(T=2.0, n=20)
         assert closed_form_stable(1.0, 2.0, env, 0.5, 1.0, 0.0) == pytest.approx(0.25)
+
+    def test_stable_exponent_reaching_800(self):
+        # -beta K falls linearly to -800 on a deterministic path, so
+        # e^{-beta K} spans 348 decades; A = (1 - e^-800)/800 exactly
+        grid = np.linspace(0.0, 1.0, 1001)
+        a = -math.expm1(-800.0) / 800.0
+        for beta, c, lam in ((0.5, 1.0, 2.0), (0.5, 1.0, math.inf),
+                             (-0.5, -1.0, 2.0), (-0.5, -1.0, 0.0)):
+            env = EnvPath(grid, 1600.0 * math.copysign(1.0, beta) * grid, "K", 1.0, 0.0)
+            lam_term = 0.0 if lam in (0.0, math.inf) else lam ** (-beta)
+            exact = (lam_term + beta * c * a) ** (-1.0 / beta)
+            assert closed_form_stable(lam, 1.0, env, beta, c, 0.0) == pytest.approx(
+                exact, rel=1e-13)
+
+    def test_stable_large_drift_does_not_overflow(self):
+        # e^{alpha t} overflows at alpha t = 800, and on `rising`
+        # A = int e^{800 u} du does
+        grid = np.linspace(0.0, 1.0, 1001)
+        flat = EnvPath(grid, np.zeros(grid.size), "K", 1.0, 0.0)
+        a = -math.expm1(-400.0) / 400.0  # int e^{-beta alpha u} du at beta = 1/2
+        exact = (2.0**-0.5 * math.exp(-400.0) + 0.5 * a) ** -2.0
+        assert closed_form_stable(2.0, 1.0, flat, 0.5, 1.0, 800.0) == pytest.approx(
+            exact, rel=1e-13)
+        rising = EnvPath(grid, -1600.0 * grid, "K", 1.0, 0.0)
+        assert closed_form_stable(math.inf, 1.0, rising, 0.5, 1.0, 0.0) == 0.0
 
     def test_stable_beta_one_is_feller(self):
         env = sample_env_path(1.0, -0.5, 1.0, 300, seed=5, flavor="K")

@@ -39,6 +39,14 @@ class TestSurvivalProb:
         quad = survival_prob(1.0, 2.0, env, "quadrature")
         assert abs(mc.value - quad.value) <= max(3 * mc.stderr, 1e-2)
 
+    def test_mc_first_order_unbiased(self):
+        # 20 steps of 0.1: an O(dt) bias in the path integral would show at
+        # 400k paths (the exact-linear rule is ~6 SE off here)
+        env = derive_env(1.0, 0.0, 1.0, 1.0)
+        mc = survival_prob(1.0, 2.0, env, "mc", n_paths=400_000, n_steps=20, seed=8)
+        quad = survival_prob(1.0, 2.0, env, "quadrature")
+        assert abs(mc.value - quad.value) <= 3 * mc.stderr
+
     def test_monotone_in_t_and_z(self):
         env = derive_env(1.0, 0.0, 1.0, 1.0)
         ps = [survival_prob(1.0, t, env, "quadrature").value for t in (1.5, 2.0, 3.0)]

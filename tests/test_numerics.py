@@ -3,6 +3,7 @@ import pytest
 from scipy import special
 
 from cbbre.numerics import (
+    _gamma_rule,
     gamma_power_laplace,
     gamma_power_series,
     gl_panels,
@@ -129,3 +130,28 @@ class TestGammaPowerLaplace:
         # for power=1 the series is convergent and matches the closed form
         val, _ = gamma_power_series(0.1, 2.0, 1.0, n_terms=30)
         assert val == pytest.approx(1.1**-2.0, rel=1e-8)
+
+
+class TestGammaRule:
+    @pytest.mark.parametrize("shape", [0.3, 0.5, 1.0, 2.0, 4.0])
+    def test_matches_mpmath(self, shape):
+        # E[exp(-theta G^p)], G ~ Gamma(shape); mpmath integrates in
+        # u = x^shape, where the Gamma weight is smooth at the origin
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(25):
+            s = mpmath.mpf(shape)
+            breaks = [mpmath.mpf(10) ** -k for k in range(12, 0, -3)] + [0.3, 1, 3, 10, 30, 100]
+            pts = [0] + [b**s for b in breaks] + [mpmath.inf]
+            for p in (1.0, 2.0):
+                x, w = _gamma_rule(shape, p)
+                for theta in (0.01, 1.0, 30.0, 1000.0):
+                    ref = mpmath.quad(lambda u: mpmath.exp(-theta * u ** (p / s) - u ** (1 / s)),
+                                      pts) / mpmath.gamma(s + 1)
+                    assert abs(np.sum(w * np.exp(-theta * x**p)) - float(ref)) < 1e-15
+
+    @pytest.mark.parametrize("shape", [0.05, 0.1, 0.3, 1.0, 2.0, 30.0])
+    def test_keeps_the_mass_near_zero(self, shape):
+        x, w = _gamma_rule(shape)
+        assert abs(w.sum() - 1.0) < 1e-15
+        # E[e^{-G}] = 2^-shape, the laplace transform at theta = 1
+        assert np.sum(w * np.exp(-x)) == pytest.approx(2.0**-shape, abs=1e-15)
