@@ -27,8 +27,9 @@ from .environment import (MCEstimate, _default_v_rule, mc_log_exp_functionals,
 from .errors import ParameterError, RegimeError
 from .longterm import (
     AsymptoticConstant,
-    extinction_prob_exact_stable,
+    _critical_rows,
     _phi_weights,
+    extinction_prob_exact_stable,
 )
 from .mechanisms import (
     ConditionedRegime,
@@ -40,7 +41,7 @@ from .mechanisms import (
     SurvivalRegime,
     classify_regime,
 )
-from .numerics import _gamma_rule, gamma_power_laplace, gl_panels
+from .numerics import _gamma_rule, gamma_power_laplace
 
 __all__ = [
     "U",
@@ -103,15 +104,14 @@ def _build_u(env: EnvParams):
     reg = classify_regime(env).survival
     b, s, kk, eta = env.beta, env.sigma, env.k, env.eta
     if reg is SurvivalRegime.CRITICAL:
-        # sqrt(2/pi)/(b s) * int (1-e^{-zk x^{1/b}}) e^{-x}/x dx on panels
-        w_nodes, w_w = gl_panels(np.geomspace(1e-12, 200.0, 260), 16)
-        weight = w_w * np.exp(-(w_nodes**b)) * b / w_nodes
+        # the critical survival constant; _critical_rows runs _gamma_rule(1, 1/b)
         pref = math.sqrt(2.0 / np.pi) / (b * s)
+        n_nodes = _gamma_rule(1.0, 1.0 / b)[0].size
 
         def rows(zz):
-            return pref * (-np.expm1(-np.outer(zz * kk, w_nodes)) @ weight)
+            return pref * _critical_rows(zz * kk, 1.0 / b)
 
-        return lambda z: _chunked_rows(rows, z, w_nodes.size)
+        return lambda z: _chunked_rows(rows, z, n_nodes)
     if reg is SurvivalRegime.WEAKLY_SUBCRITICAL:
         v, weight = _phi_weights(eta)
         pref = 8.0 / (b**3 * s**3)
@@ -181,8 +181,6 @@ def U_star(z: float, env: EnvParams) -> float:
     _require_supercritical(env)
     if z < 0:
         raise ParameterError("z must be nonnegative")
-    if z == 0:
-        return 1.0
     return extinction_prob_exact_stable(z, env)
 
 
@@ -199,10 +197,20 @@ def U_star_vectorized(env: EnvParams):
 
 
 def h_fn(x, y, k: float, beta: float):
-    """h(x, y) = exp(-k x^{1/beta}) - exp(-k (x+y)^{1/beta})."""
+    """h(x, y) = exp(-k x^{1/beta}) - exp(-k (x+y)^{1/beta}).
+
+    Formed as e^{-k x^p} (1 - e^{-k d}), p = 1/beta, with the difference
+    d = (x+y)^p - x^p = -(x+y)^p expm1(p log1p(-y/(x+y))), so that small y
+    keeps full relative accuracy.
+    """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    return np.exp(-k * x ** (1.0 / beta)) - np.exp(-k * (x + y) ** (1.0 / beta))
+    p = 1.0 / beta
+    s = x + y
+    r = np.divide(y, s, out=np.zeros_like(s), where=s > 0)
+    with np.errstate(divide="ignore"):  # x = 0: log1p(-1) = -inf gives d = y^p
+        d = -(s**p) * np.expm1(p * np.log1p(-r))
+    return np.exp(-k * x**p) * -np.expm1(-k * d)
 
 
 def h_bounds(x, y, eps: float, k: float, beta: float):

@@ -251,24 +251,17 @@ def closed_form_neveu(lam: float, t: float, env: EnvPath) -> float:
     return float(np.exp(J + math.exp(-t) * math.log(lam)))
 
 
-def _drift_adjusted(env: EnvPath, alpha: float):
-    # exponent D_u with int exp(-beta D_u): K_u + alpha*u for K-flavor,
-    # K0_u for K0-flavor (identical paths when K0 = K + alpha t)
-    if env.flavor == "K":
-        return env.values + alpha * env.grid
-    return env.values
-
-
 def closed_form_feller(lam: float, t: float, env: EnvPath, alpha: float,
                        gamma2: float) -> float:
-    """v_t(0, lambda) for the Feller mechanism; lam = inf is accepted."""
+    """v_t(0, lambda) for the Feller mechanism; lam = inf is accepted.
+
+    This is the stable form at beta = 1 with c = gamma2; gamma2 = 0 is the
+    pure drift.
+    """
+    if lam != 0.0 and gamma2 != 0.0:
+        return closed_form_stable(lam, t, env, 1.0, gamma2, alpha)
     _check_flavor_grid(env, t)
-    if lam == 0.0:
-        return 0.0
-    D = _drift_adjusted(env, alpha)
-    A = integral_exp_linear(env.grid, -D)
-    lam_eff_inv = 0.0 if np.isinf(lam) else 1.0 / (lam * (math.exp(alpha * t) if env.flavor == "K" else 1.0))
-    return 1.0 / (lam_eff_inv + gamma2 * A)
+    return lam * math.exp(alpha * t) if lam and env.flavor == "K" else lam
 
 
 def closed_form_stable(lam: float, t: float, env: EnvPath, beta: float,
@@ -286,8 +279,10 @@ def closed_form_stable(lam: float, t: float, env: EnvPath, beta: float,
     if beta * c <= 0:
         raise ParameterError("invalid parameter combination: sign(c) must equal sign(beta)")
     # v = (lam_eff^-beta + beta c A)^(-1/beta), A = int e^{-beta D}, summed in
-    # log space so that neither A nor e^{alpha t} overflows
-    S, top = exp_linear_suffix(env.grid, -beta * _drift_adjusted(env, alpha))
+    # log space so that neither A nor e^{alpha t} overflows; D_u is K_u + alpha u
+    # on a K-flavored path and K0_u on a K0-flavored one (the same path)
+    D = env.values + alpha * env.grid if env.flavor == "K" else env.values
+    S, top = exp_linear_suffix(env.grid, -beta * D)
     log_inner = math.log(beta * c * S[0]) + top
     if 0.0 < lam < math.inf:
         log_lam = math.log(lam) + (alpha * t if env.flavor == "K" else 0.0)

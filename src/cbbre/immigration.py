@@ -79,11 +79,7 @@ def stable_cbibre_laplace(z: float, lam: float, t: float, env: EnvPath,
     A = integral_exp_linear(env.grid, -beta * env.values)  # int_0^t e^{-beta K0}
     if lam == 0.0:
         return 1.0
-    factor_imm = math.exp(-(kappa / (beta * c)) * math.log1p(beta * c * lam**beta * A))
-    if z == 0.0:
-        return factor_imm
-    v0 = (lam ** (-beta) + beta * c * A) ** (-1.0 / beta)
-    return math.exp(-z * v0) * factor_imm
+    return float(_stable_cbi_transform(z, lam, beta * c * A, beta, c, kappa))
 
 
 def entrance_law(lam: float, t: float, env: EnvPath, beta: float, c: float,

@@ -8,10 +8,11 @@ Three things live here because several modules need them:
   ``U(a,1/2,w) - U(a,1/2,0)`` (`u_half_diff`) that the oscillatory density
   integrals require at tiny arguments; the density of 1/(2 I_nu^(eta)) and
   phi_eta both reduce to it with a = (eta+1)/2,
-* Gamma-power Laplace transforms ``E[exp(-theta * G^power)]`` for a Gamma
-  variable ``G``, evaluated by generalized Gauss-Laguerre with order
-  escalation (`gamma_power_laplace`, `gamma_power_expectation`), and the
-  one fixed Gamma rule of the vectorized callers (`_gamma_rule`).
+* one cached rule for every Gamma expectation ``E[f(G)]``, ``G ~ Gamma(shape)``
+  (`_gamma_rule`): Gauss-Legendre panels in log x that keep the mass near
+  zero as one node; `gamma_power_expectation` and the Laplace transform
+  ``E[exp(-theta * G^power)]`` (`gamma_power_laplace`) are weighted sums on
+  it, and so are the vectorized callers in other modules.
 
 The confluent kernel has three zones in w: the Kummer connection series
 for small ``w``, a piecewise Chebyshev fit of log U in log w (built once per
@@ -238,65 +239,8 @@ def u_half_diff(a: float, w):
 
 
 # ---------------------------------------------------------------------------
-# Gamma-power Laplace transforms via generalized Gauss-Laguerre
+# Gamma expectations on one panel rule
 # ---------------------------------------------------------------------------
-
-_GENLAG_CACHE: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _genlag(order, alpha):
-    key = (float(alpha), int(order))
-    if key not in _GENLAG_CACHE:
-        _GENLAG_CACHE[key] = special.roots_genlaguerre(order, alpha)
-    return _GENLAG_CACHE[key]
-
-
-def _quad_gamma_expectation(func, shape: float) -> float:
-    # adaptive fallback; substitute u = x^shape so the density weight is
-    # regular at the origin for shape < 1
-    from scipy import integrate
-
-    norm = special.gamma(shape)
-    if shape < 1.0:
-
-        def g(u):
-            x = u ** (1.0 / shape)
-            return func(x) * np.exp(-x) / (shape * norm)
-
-    else:
-
-        def g(u):
-            return func(u) * u ** (shape - 1.0) * np.exp(-u) / norm
-
-    cut = 30.0 + 10.0 * shape
-    v1, _ = integrate.quad(g, 0.0, cut, limit=400)
-    v2, _ = integrate.quad(g, cut, np.inf, limit=200)
-    return float(v1 + v2)
-
-
-def gamma_power_expectation(func, shape: float, tol: float = 1e-13, max_order: int = 256):
-    """E[func(G)] for G ~ Gamma(shape, rate 1), by Gauss-Laguerre escalation.
-
-    Orders double until two successive values agree to ``tol``; integrands
-    with essential behaviour at the origin (negative powers) defeat the
-    polynomial rule, so a stalled escalation falls back to adaptive
-    quadrature rather than failing.
-    """
-    if shape <= 0:
-        raise ValueError("Gamma shape must be positive")
-    alpha = shape - 1.0
-    norm = special.gamma(shape)
-    prev = None
-    order = 32
-    while order <= max_order:
-        x, w = _genlag(order, alpha)
-        val = float(np.sum(w * func(x)) / norm)
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
-        prev = val
-        order *= 2
-    return _quad_gamma_expectation(func, shape)
-
 
 _GAMMA_MASS_EPS = 1e-16  # mass of G below the first panel
 _GAMMA_T_MIN = -700.0     # exp(t) stays a normal double above this
@@ -310,12 +254,12 @@ def _gamma_rule(shape: float, power: float = 1.0):
     Gauss-Legendre panels in t = log x, where the weight x^shape e^(-x) dt
     is smooth for every shape, from where G has mass < 1e-16 below (or
     t = -700) to x = 60 + 12 shape; that mass is one more node, so nothing
-    near zero is lost.  f of x^power with power > 2 gets more panels.
+    near zero is lost.  f of x^power with |power| > 2 gets more panels.
     """
     lg = special.gammaln(shape + 1.0)
     t_lo = max((math.log(_GAMMA_MASS_EPS) + lg) / shape, _GAMMA_T_MIN)
     t_hi = math.log(60.0 + 12.0 * shape)
-    n = math.ceil(_GAMMA_PANELS * max(1.0, 0.5 * power) * (t_hi - t_lo))
+    n = math.ceil(_GAMMA_PANELS * max(1.0, 0.5 * abs(power)) * (t_hi - t_lo))
     t, w = gl_panels(np.linspace(t_lo, t_hi, n + 1), 12)
     w *= np.exp(shape * t - np.exp(t) - special.gammaln(shape))
     x = np.concatenate([[math.exp(t_lo)], np.exp(t)])
@@ -324,7 +268,17 @@ def _gamma_rule(shape: float, power: float = 1.0):
     return x, w
 
 
-def gamma_power_laplace(theta: float, shape: float, power: float, tol: float = 1e-13):
+def gamma_power_expectation(func, shape: float, power: float = 1.0) -> float:
+    """E[func(G)] for G ~ Gamma(shape, rate 1) on `_gamma_rule(shape, power)`,
+    where func is a function of G^power (|power| sets the panel density)."""
+    if shape <= 0:
+        raise ValueError("Gamma shape must be positive")
+    x, w = _gamma_rule(shape, power)
+    with np.errstate(over="ignore"):  # G^p = inf at the smallest nodes when p < 0
+        return float(w @ func(x))
+
+
+def gamma_power_laplace(theta: float, shape: float, power: float):
     """E[exp(-theta * G**power)] for G ~ Gamma(shape, rate 1).
 
     This is the canonical numerical object behind the formal series
@@ -336,7 +290,7 @@ def gamma_power_laplace(theta: float, shape: float, power: float, tol: float = 1
         raise ValueError("theta must be nonnegative")
     if theta == 0:
         return 1.0
-    return gamma_power_expectation(lambda x: np.exp(-theta * x ** power), shape, tol=tol)
+    return gamma_power_expectation(lambda x: np.exp(-theta * x**power), shape, power)
 
 
 def gamma_power_series(theta: float, shape: float, power: float, n_terms: int = 20):

@@ -65,6 +65,17 @@ class TestCli:
         assert doc["summary"]["constant"] == pytest.approx(1.0)
         assert doc["summary"]["regime"] == "strongly_subcritical"
 
+    def test_asymptotics_shape_below_one(self, tmp_path):
+        # m = 0.0025, eta = -0.05: 1 - E[exp(-G^10)], G ~ Gamma(0.05), whose
+        # mass lies far below 1e-12 (mpmath 1 - 0.9872114603383149)
+        doc = dict(BASE) | {
+            "mechanism": {"kind": "stable", "alpha": 0.5025, "beta": 0.1, "c": 0.05},
+            "out": str(tmp_path / "out")}
+        assert main(["asymptotics", "--config", str(write_cfg(tmp_path, doc))]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())["summary"]
+        assert summary["regime"] == "supercritical"
+        assert abs(summary["constant"] - 0.01278853966168517) < 1e-12
+
     def test_malformed_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

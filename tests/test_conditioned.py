@@ -40,6 +40,16 @@ class TestU:
         with pytest.raises(RegimeError):
             U(1.0, derive_env(1.0, 1.5, 1.0, 1.0))
 
+    def test_critical_is_the_survival_constant(self):
+        # at m = 0, U(z) is the critical survival constant at z
+        from cbbre.longterm import asympt_survival_constant
+
+        for beta in (1.0, 0.7, 0.5, 0.3):
+            env = derive_env(1.0, 0.5, beta, 1.0)  # m = 0
+            for z in (0.01, 1.0, 10.0):
+                assert U(z, env) == pytest.approx(asympt_survival_constant(z, env).constant,
+                                                  rel=1e-13)
+
     def test_vectorized_matches_scalar(self):
         env = derive_env(1.0, 0.2, 1.0, 1.0)  # m = -0.3 weakly
         z = np.array([0.3, 1.0, 4.0])
@@ -194,15 +204,27 @@ class TestConditionedConstants:
         # |eta| = 2m is below 1
         from cbbre.longterm import asympt_survival_constant
 
-        for m in (2.0, 0.15, 0.25):
+        for m in (2.0, 0.15, 0.25, 0.35, 0.45):
             a = asympt_conditioned_constant(1.0, derive_env(1.0, 0.5 + m, 1.0, 1.0))
             b = asympt_survival_constant(1.0, derive_env(1.0, 0.5 - m, 1.0, 1.0))
             assert a.constant == pytest.approx(b.constant, rel=1e-9)
             assert a.rate_exp == pytest.approx(b.rate_exp)
         # m = 0.25, z = 1: the mpmath weakly subcritical constant at eta = 0.5
         # (benchmark/reference.py, "weakly_constant" in reference.json)
+        a = asympt_conditioned_constant(1.0, derive_env(1.0, 0.75, 1.0, 1.0))
         assert a.regime == "weakly_supercritical"
         assert abs(a.constant - 6.983809314054095) <= 1e-9
+
+    def test_weakly_duality_to_rounding(self):
+        # h = e^{-kx}(1 - e^{-k d}) with d formed without cancellation keeps
+        # the weakly pairs at rounding level as the phi_eta weights reach
+        # y = 1e-30
+        from cbbre.longterm import asympt_survival_constant
+
+        for m in (0.15, 0.25, 0.35, 0.45):
+            a = asympt_conditioned_constant(1.0, derive_env(1.0, 0.5 + m, 1.0, 1.0))
+            b = asympt_survival_constant(1.0, derive_env(1.0, 0.5 - m, 1.0, 1.0))
+            assert a.constant == pytest.approx(b.constant, rel=1e-13)
 
     def test_weakly_trend_extrapolates_to_constant(self):
         env = derive_env(1.0, 1.0, 1.0, 1.0)  # m = 0.5 weakly supercritical

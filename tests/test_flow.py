@@ -103,6 +103,11 @@ class TestClosedForms:
             assert closed_form_stable(lam, 1.0, env, 1.0, 1.3, 0.4) == pytest.approx(
                 closed_form_feller(lam, 1.0, env, 0.4, 1.3), rel=1e-13
             )
+        # alpha t = 800 on a flat path: e^{800} overflows a double, v does not
+        flat = make_flat()
+        assert closed_form_feller(2.0, 1.0, flat, 800.0, 1.0) == pytest.approx(
+            closed_form_stable(2.0, 1.0, flat, 1.0, 1.0, 800.0), rel=1e-13)
+        assert closed_form_feller(2.0, 1.0, flat, 800.0, 1.0) == pytest.approx(800.0, rel=1e-9)
 
     def test_flavors_agree_pathwise(self):
         # K0 = K + alpha*t pathwise: v(K0-form, lam) = v(K-form, lam e^{-alpha t})

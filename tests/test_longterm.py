@@ -144,6 +144,13 @@ class TestSurvivalConstants:
         c = asympt_survival_constant(1.0, env)
         assert c.constant == pytest.approx(math.sqrt(2 / math.pi) * math.log(1.5), rel=1e-9)
 
+    def test_critical_integral_matches_mpmath(self):
+        # mpmath at 30 digits in log x
+        for beta, q, ref in ((0.5, 1.0, 0.40505659567722835415),
+                             (0.3, 1.0, 0.31387688836333464747),
+                             (0.05, 1.0, 0.23090872127959559585)):
+            assert critical_constant_integral(q, beta) == pytest.approx(ref, rel=1e-14)
+
     def test_critical_integral_log_identity(self):
         for q in (0.25, 1.0, 3.0):
             assert critical_constant_integral(q, 1.0) == pytest.approx(
@@ -236,8 +243,34 @@ class TestExplosionConstants:
         assert abs(c.constant - smp.mean()) <= 3 * se
 
     def test_z_to_zero_limit_is_one(self):
+        # G ~ Exp(1) and p = -2 here, so 1 - E[e^{-zk/G^2}] ~ sqrt(pi z k):
+        # 7.09e-6 at z = 1e-12 (mpmath 0.999992910393610699), 7.1e-8 at 1e-16
         env = derive_env(1.0, 0.25, -0.5, -1.0)
-        assert asympt_explosion_constant(1e-12, env).constant == pytest.approx(1.0, abs=1e-6)
+        assert abs(asympt_explosion_constant(1e-12, env).constant
+                   - 0.999992910393610699) < 1e-14
+        assert asympt_explosion_constant(1e-16, env).constant == pytest.approx(1.0, abs=1e-6)
+
+    def test_subcritical_limit_at_shape_below_one(self):
+        # m = -0.01: Gamma(1/45) at the power -10/9, a quarter of whose mass
+        # lies below 1e-12; mpmath reads 0.0515011204354 and 4M Monte Carlo
+        # draws 0.05135 +- 0.0001
+        env = derive_env(1.0, 0.49, -0.9, -1.0)
+        assert abs(asympt_explosion_constant(0.01, env).constant - 0.0515011204354) < 1e-10
+
+    def test_critical_constant_matches_mpmath(self):
+        # int e^{-q x^{1/beta}} e^{-x} dx/x, mpmath at 30 digits in log x; the
+        # last two put the integrand's peak at x = 28 and 82.
+        # sqrt(2/pi)/(|beta| sigma) times it is the constant at z = q/k
+        for beta, q, ref in ((-0.5, 1.0, 0.18692873226152801862),
+                             (-0.05, 1.0, 0.20967392295029650583),
+                             (-0.9, 1e-10, 19.626556082274024834),
+                             (-0.9, 1e3, 4.4107314743923421473e-24),
+                             (-0.9, 1e4, 1.61915468755287458e-69)):
+            env = derive_env(1.0, 0.5, beta, -1.0)  # m = 0
+            c = asympt_explosion_constant(q / env.k, env)
+            assert c.regime == "critical_explosion"
+            want = math.sqrt(2 / math.pi) / -beta * ref
+            assert c.constant == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_critical_integrand_vanishes_at_origin(self):
         # e^{-zk x^{1/beta}} kills the 1/x singularity for 1/beta < 0

@@ -4,6 +4,7 @@ from scipy import special
 
 from cbbre.numerics import (
     _gamma_rule,
+    gamma_power_expectation,
     gamma_power_laplace,
     gamma_power_series,
     gl_panels,
@@ -126,6 +127,21 @@ class TestGammaPowerLaplace:
                       * np.exp(-x) / special.gamma(shape), 0, np.inf)
         assert gamma_power_laplace(theta, shape, power) == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("shape", [0.05, 0.3, 1.0, 4.0, 12.0])
+    def test_power_minus_one_bessel_form(self, shape):
+        # E[e^{-theta/G}] = 2 theta^{s/2} K_s(2 sqrt(theta)) / Gamma(s)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for theta in (1e-3, 1.0, 1e3):
+                ref = (2 * mpmath.mpf(theta) ** (shape / 2)
+                       * mpmath.besselk(shape, 2 * mpmath.sqrt(theta)) / mpmath.gamma(shape))
+                assert abs(gamma_power_laplace(theta, shape, -1.0) - float(ref)) < 1e-14
+
+    def test_rejects_nonpositive_shape(self):
+        for shape in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                gamma_power_expectation(np.exp, shape)
+
     def test_series_diagnostic_small_argument(self):
         # for power=1 the series is convergent and matches the closed form
         val, _ = gamma_power_series(0.1, 2.0, 1.0, n_terms=30)
@@ -155,3 +171,20 @@ class TestGammaRule:
         assert abs(w.sum() - 1.0) < 1e-15
         # E[e^{-G}] = 2^-shape, the laplace transform at theta = 1
         assert np.sum(w * np.exp(-x)) == pytest.approx(2.0**-shape, abs=1e-15)
+
+    @pytest.mark.parametrize("shape", [0.05, 1.0])
+    @pytest.mark.parametrize("p", [-10.0, -5.0, 5.0, 10.0])
+    def test_high_powers_match_mpmath(self, shape, p):
+        # the panels scale with |p|, so negative powers get them too; mpmath
+        # integrates in u = x^shape, with breaks around the step of
+        # exp(-theta x^p) at x = theta^(-1/p)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(18):
+            s = mpmath.mpf(shape)
+            for theta in (1e-3, 1.0, 1e3):
+                step = theta ** (-1.0 / p)
+                xs = sorted({1e-9, 1e-3, 0.3, 3.0, 30.0, step / 2, step, 2 * step})
+                pts = [0] + [mpmath.mpf(b) ** s for b in xs] + [mpmath.inf]
+                ref = mpmath.quad(lambda u: mpmath.exp(-theta * u ** (p / s) - u ** (1 / s)),
+                                  pts) / mpmath.gamma(s + 1)
+                assert abs(gamma_power_laplace(theta, shape, p) - float(ref)) < 1e-14
