@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from . import rng as _rng
-from .environment import (MCEstimate, _default_v_rule, mc_log_exp_functionals,
+from .environment import (MCEstimate, _default_v_rule, _mc_estimate, mc_log_exp_functionals,
                           my_density_grid)
 from .errors import ParameterError, RegimeError
 from .longterm import (
@@ -41,7 +41,7 @@ from .mechanisms import (
     SurvivalRegime,
     classify_regime,
 )
-from .numerics import _gamma_rule, gamma_power_laplace
+from .numerics import _gamma_rule, _row_sums, gamma_power_laplace
 
 __all__ = [
     "U",
@@ -89,42 +89,29 @@ def U_vectorized(env: EnvParams):
     return fn
 
 
-def _chunked_rows(fn, z, n_nodes: int):
-    # fn over max(z, 0) in row blocks: (rows x nodes) temporaries stay
-    # within 8000 x 2400 elements
-    z = np.maximum(np.asarray(z, float), 0.0)
-    block = max(1, min(8000, 19_200_000 // n_nodes))
-    out = np.empty(z.size)
-    for i in range(0, z.size, block):
-        out[i:i + block] = fn(z[i:i + block])
-    return out
+def _states(z):
+    # the states as one row of points, negative ones clipped to 0
+    return np.maximum(np.asarray(z, float), 0.0).ravel()
 
 
 def _build_u(env: EnvParams):
     reg = classify_regime(env).survival
     b, s, kk, eta = env.beta, env.sigma, env.k, env.eta
     if reg is SurvivalRegime.CRITICAL:
-        # the critical survival constant; _critical_rows runs _gamma_rule(1, 1/b)
-        pref = math.sqrt(2.0 / np.pi) / (b * s)
-        n_nodes = _gamma_rule(1.0, 1.0 / b)[0].size
-
-        def rows(zz):
-            return pref * _critical_rows(zz * kk, 1.0 / b)
-
-        return lambda z: _chunked_rows(rows, z, n_nodes)
+        pref = math.sqrt(2.0 / np.pi) / (b * s)  # times the critical survival constant
+        return lambda z: pref * _critical_rows(_states(z) * kk, 1.0 / b)
     if reg is SurvivalRegime.WEAKLY_SUBCRITICAL:
         v, weight = _phi_weights(eta)
         pref = 8.0 / (b**3 * s**3)
 
-        def rows(zz):
+        def terms(zz):  # e^{-k (z^b v)^{1/b}} - 1
             arg = np.outer(zz**b, v)
             if b != 1.0:  # x**1.0 is x: skip the pass
                 arg **= 1.0 / b
             arg *= kk
-            np.expm1(np.negative(arg, out=arg), out=arg)
-            return pref * -(arg @ weight)
+            return np.expm1(np.negative(arg, out=arg), out=arg)
 
-        return lambda z: _chunked_rows(rows, z, v.size)
+        return lambda z: pref * -_row_sums(terms, _states(z), weight)
     if reg is SurvivalRegime.INTERMEDIATELY_SUBCRITICAL:
         c = math.sqrt(2.0 / np.pi) * kk * special.gamma(1.0 / b) / (b * s)
         return lambda z: c * np.maximum(np.asarray(z, float), 0.0)
@@ -189,11 +176,7 @@ def U_star_vectorized(env: EnvParams):
     _require_supercritical(env)
     x, weight = _gamma_rule(-env.eta, 1.0 / env.beta)
     pow_x = x ** (1.0 / env.beta)
-
-    def rows(zz):
-        return np.exp(-env.k * np.outer(zz, pow_x)) @ weight
-
-    return lambda z: _chunked_rows(rows, z, x.size)
+    return lambda z: _row_sums(lambda zz: np.exp(-env.k * np.outer(zz, pow_x)), _states(z), weight)
 
 
 def h_fn(x, y, k: float, beta: float):
@@ -234,11 +217,8 @@ def _gamma_h_integral(z: float, env: EnvParams, y, wy) -> float:
     """sum_j wy_j E[h(z^beta G, z^beta y_j)] over G ~ Gamma(-eta)."""
     x, wx = _gamma_rule(-env.eta, 1.0 / env.beta)
     zb = z**env.beta
-
-    def rows(xx):
-        return h_fn(zb * xx[:, None], zb * y[None, :], env.k, env.beta) @ wy
-
-    return float(wx @ _chunked_rows(rows, x, y.size))
+    zy = zb * y[None, :]
+    return float(wx @ _row_sums(lambda xx: h_fn(zb * xx[:, None], zy, env.k, env.beta), x, wy))
 
 
 def conditioned_survival(z: float, t: float, env: EnvParams,
@@ -267,11 +247,9 @@ def conditioned_survival(z: float, t: float, env: EnvParams,
     gamma_draws = _rng.stream(seed, 9001).gamma(-env.eta, size=n_mc)
     y = np.exp(-math.log(2.0) - logI)
     samples = h_fn(z**env.beta * gamma_draws, z**env.beta * y, env.k, env.beta)
-    samples = samples / ustar
-    se = float(samples.std(ddof=1) / math.sqrt(n_mc))
     manifest = {"seed": seed, "n_paths": n_mc, "n_steps": n_steps,
                 "estimator": "conditioned-survival-formula", "u_star": ustar}
-    return MCEstimate(float(samples.mean()), se, n_mc, "formula-mc", manifest)
+    return _mc_estimate(samples / ustar, "formula-mc", manifest)
 
 
 def asympt_conditioned_constant(z: float, env: EnvParams) -> AsymptoticConstant:

@@ -36,7 +36,7 @@ from .errors import (
     ParameterError,
     QuadratureInstabilityError,
 )
-from .numerics import gl_panels, u_half_diff
+from .numerics import _row_blocks, _row_sums, gl_panels, u_half_diff
 
 __all__ = [
     "MCEstimate",
@@ -141,21 +141,33 @@ def sample_env_paths(sigma: float, drift: float, T: float, n_steps: int,
     Increments are exact Gaussians: N(drift*dt, sigma^2*dt).  sigma = 0 is
     accepted as the degenerate deterministic path.
     """
+    K = np.empty((n_paths, n_steps + 1))
+    for rows, _, block in _env_path_blocks(sigma, drift, T, n_steps, seed, n_paths, stream):
+        K[rows] = block
+    return np.linspace(0.0, T, n_steps + 1), K
+
+
+def _env_path_blocks(sigma: float, drift: float, T: float, n_steps: int,
+                     seed: int, n_paths: int, stream: int = 0):
+    """`sample_env_paths` as ``(rows, grid, K)`` blocks within the row budget
+    of `numerics`, drawn one after another from the one stream: Monte Carlo
+    holds one block at a time and sees the same paths."""
     if T <= 0 or n_steps < 1:
         raise ParameterError("need T > 0 and n_steps >= 1")
     if sigma < 0:
         raise ParameterError("sigma must be nonnegative")
     gen = _rng.stream(seed, stream)
     dt = T / n_steps
-    K = np.empty((n_paths, n_steps + 1))
-    K[:, 0] = 0.0
-    if sigma == 0.0:
-        K[:, 1:] = drift * dt * np.arange(1, n_steps + 1)
-    else:
-        inc = gen.normal(drift * dt, sigma * math.sqrt(dt), size=(n_paths, n_steps))
-        np.cumsum(inc, axis=1, out=K[:, 1:])
     grid = np.linspace(0.0, T, n_steps + 1)
-    return grid, K
+    for rows in _row_blocks(n_paths, n_steps + 1):
+        K = np.empty((rows.stop - rows.start, n_steps + 1))
+        K[:, 0] = 0.0
+        if sigma == 0.0:
+            K[:, 1:] = drift * dt * np.arange(1, n_steps + 1)
+        else:
+            inc = gen.normal(drift * dt, sigma * math.sqrt(dt), size=(K.shape[0], n_steps))
+            np.cumsum(inc, axis=1, out=K[:, 1:])
+        yield rows, grid, K
 
 
 def sample_env_path(sigma: float, drift: float, T: float, n_steps: int,
@@ -215,7 +227,7 @@ def log_exp_functional(grid, values, theta: float):
     top = np.where(np.isfinite(top), top, 0.0)
     V -= top[:, None]
     np.exp(V, out=V)
-    out = np.log(V @ w) + top
+    out = np.log(np.einsum("ij,j->i", V, w)) + top
     return out if np.ndim(values) == 2 else float(out[0])
 
 
@@ -275,7 +287,6 @@ def dufresne_law(eta: float) -> float:
 # ---------------------------------------------------------------------------
 
 _P_CLAMP = 1e-12  # matches the validated accuracy of the confluent kernel
-_P_BLOCK = 1 << 18  # kernel evaluations per block of points
 
 
 def _xi_rule(nu: float, panel_width: float = 0.5, order: int = 16):
@@ -323,13 +334,7 @@ def my_density_grid(x, nu: float, eta: float):
     xi, w = _xi_rule(nu)
     osc = w * np.exp(-(xi**2) / (2.0 * nu)) * np.sinh(xi) * np.sin(np.pi * xi / nu)
     c2 = np.cosh(xi) ** 2
-    J = np.empty_like(x)
-    noise = np.empty_like(x)
-    rows = max(1, _P_BLOCK // xi.size)
-    for i in range(0, x.size, rows):
-        B = u_half_diff(a, np.outer(x[i:i + rows], c2))
-        J[i:i + rows] = B @ osc
-        noise[i:i + rows] = np.abs(B) @ np.abs(osc)
+    J, noise = _row_sums(lambda xx: u_half_diff(a, np.outer(xx, c2)), x, osc, noise=True)
     J = np.where(np.abs(J) > noise * _P_CLAMP, np.maximum(J, 0.0), 0.0)
     return np.exp(logC - x - a * np.log(x)) * J
 
@@ -397,10 +402,10 @@ def hw_kernel(r, t: float):
     y, w = _theta_rule(t, ymax)
     base = -(y**2) / (2.0 * t)
     osc = np.sinh(y) * np.sin(np.pi * y / t) * w
-    E = np.exp(base[None, :] - np.outer(r, np.cosh(y)))
-    val = E @ osc
-    noise = (E @ np.abs(osc)) * 5e-15
-    val = np.where(np.abs(val) > noise, np.maximum(val, 0.0), 0.0)
+    cosh_y = np.cosh(y)
+    val, noise = _row_sums(lambda rr: np.exp(base[None, :] - np.outer(rr, cosh_y)), r, osc,
+                           noise=True)
+    val = np.where(np.abs(val) > noise * 5e-15, np.maximum(val, 0.0), 0.0)
     pref = r / math.sqrt(2.0 * np.pi**3 * t) * math.exp(np.pi**2 / (2.0 * t))
     out = pref * val
     return float(out[0]) if scalar else out
@@ -452,32 +457,12 @@ def hw_marginal_expectation(func: Callable, nu: float, eta: float,
 # ---------------------------------------------------------------------------
 
 
-def _brownian_rows(gen, m: int, grid):
-    """m Brownian paths on a uniform grid, one row each, starting at 0."""
-    n_steps = grid.size - 1
-    B = np.empty((m, n_steps + 1))
-    B[:, 0] = 0.0
-    inc = gen.normal(0.0, math.sqrt(grid[-1] / n_steps), size=(m, n_steps))
-    np.cumsum(inc, axis=1, out=B[:, 1:])
-    return B
-
-
-#: path-steps per chunk of paths in mc_log_exp_functionals and lemma1_moments
-_MC_CHUNK_STEPS = 15_000_000
-_LEMMA1_CHUNK_STEPS = 8_000_000
-
-
 def mc_log_exp_functionals(eta: float, t: float, n: int, n_steps: int, seed: int):
-    """Samples of log I_t^(eta) = log int_0^t exp(2(eta s + B_s)) ds."""
-    chunk = max(1000, int(_MC_CHUNK_STEPS / max(n_steps, 1)))
+    """Samples of log I_t^(eta) = log int_0^t exp(2(eta s + B_s)) ds; B is stream 1 of seed."""
     out = np.empty(n)
-    grid = np.linspace(0.0, t, n_steps + 1)
-    done = 0
-    for gen, m in _rng.chunk_streams(seed, n, chunk):
-        B = _brownian_rows(gen, m, grid)
+    for rows, grid, B in _env_path_blocks(1.0, 0.0, t, n_steps, seed, n, stream=1):
         B += eta * grid
-        out[done:done + m] = log_exp_functional(grid, B, 2.0)
-        done += m
+        out[rows] = log_exp_functional(grid, B, 2.0)
     return out
 
 
@@ -512,37 +497,25 @@ def lemma1_moments(eta: float, p: float, t: float, n_mc: int = 100_000,
     Bound:    E[(I_t^(eta))^-2p] <= e^{(2p^2-2p eta)t}
               * E[(I_{t/2}^(-(eta-2p)))^-p] * E[(I_{t/2}^((eta-2p)))^-p].
 
-    Both sides are driven by the same Brownian increments, so the identity
-    check uses the standard error of the per-path difference.
+    Both sides are driven by the same Brownian increments (stream 1 of
+    ``seed``, in blocks), so the identity check uses the standard error of
+    the per-path difference.
     """
     if p < 0 or t <= 0:
         raise ParameterError("need p >= 0 and t > 0")
-    chunk = max(1000, int(_LEMMA1_CHUNK_STEPS / max(n_steps, 1)))
     pref = math.exp((2.0 * p * p - 2.0 * p * eta) * t)
     mirror = -(eta - 2.0 * p)
-    grid = np.linspace(0.0, t, n_steps + 1)
     half = n_steps // 2
-    lhs = np.empty(n_mc)
-    rhs = np.empty(n_mc)
-    ineq_lhs = np.empty(n_mc)
-    prod_a = np.empty(n_mc)
-    prod_b = np.empty(n_mc)
-    done = 0
-    for gen, m in _rng.chunk_streams(seed, n_mc, chunk):
-        B = _brownian_rows(gen, m, grid)
-        li_eta = log_exp_functional(grid, eta * grid[None, :] + B, 2.0)
-        li_mirror = log_exp_functional(grid, mirror * grid[None, :] + B, 2.0)
-        gh = grid[: half + 1]
-        Bh = B[:, : half + 1]
-        li_ha = log_exp_functional(gh, mirror * gh[None, :] + Bh, 2.0)
-        li_hb = log_exp_functional(gh, (eta - 2.0 * p) * gh[None, :] + Bh, 2.0)
-        sl = slice(done, done + m)
-        lhs[sl] = np.exp(-p * li_eta)
-        rhs[sl] = pref * np.exp(-p * li_mirror)
-        ineq_lhs[sl] = np.exp(-2.0 * p * li_eta)
-        prod_a[sl] = np.exp(-p * li_ha)
-        prod_b[sl] = np.exp(-p * li_hb)
-        done += m
+    # log I on [0, t] at eta and the mirror drift, on [0, t/2] at the mirror and eta - 2p
+    li = np.empty((4, n_mc))
+    sides = ((eta, n_steps), (mirror, n_steps), (mirror, half), (eta - 2.0 * p, half))
+    for rows, grid, B in _env_path_blocks(1.0, 0.0, t, n_steps, seed, n_mc, stream=1):
+        for k, (drift, end) in enumerate(sides):
+            g = grid[: end + 1]
+            li[k, rows] = log_exp_functional(g, drift * g[None, :] + B[:, : end + 1], 2.0)
+    lhs, prod_a, prod_b = np.exp(-p * li[[0, 2, 3]])
+    rhs = pref * np.exp(-p * li[1])
+    ineq_lhs = np.exp(-2.0 * p * li[0])
     manifest = {"seed": seed, "n_paths": n_mc, "n_steps": n_steps,
                 "eta": eta, "p": p, "t": t}
     est_l = _mc_estimate(lhs, "mc-negative-moment", manifest | {"side": "lhs"})

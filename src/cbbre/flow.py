@@ -261,7 +261,12 @@ def closed_form_feller(lam: float, t: float, env: EnvPath, alpha: float,
     if lam != 0.0 and gamma2 != 0.0:
         return closed_form_stable(lam, t, env, 1.0, gamma2, alpha)
     _check_flavor_grid(env, t)
-    return lam * math.exp(alpha * t) if lam and env.flavor == "K" else lam
+    if not lam or env.flavor != "K":
+        return lam
+    if alpha * t < 700.0:
+        return lam * math.exp(alpha * t)
+    with np.errstate(over="ignore"):  # past the largest double, v rounds to inf
+        return float(np.exp(math.log(lam) + alpha * t))
 
 
 def closed_form_stable(lam: float, t: float, env: EnvPath, beta: float,

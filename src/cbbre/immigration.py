@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import (EnvPath, MCEstimate, integral_exp_linear, log_exp_functional,
-                          sample_env_paths)
+from .environment import (EnvPath, _env_path_blocks, _mc_estimate, integral_exp_linear,
+                          log_exp_functional)
 from .errors import ParameterError, UnsupportedMechanismError
 from .flow import solve_backward
 from .mechanisms import EnvParams, ImmigrationMechanism, Mechanism, StableImmigration
@@ -116,14 +116,13 @@ def cbibre_longterm(z: float, env: EnvParams, beta: float, c: float,
         for mult, stream in ((1.0, 1), (2.0, 2)):
             horizon = T * mult
             n_steps = max(600, int(round(60 * horizon)))
-            grid, K = sample_env_paths(env.sigma, env.m, horizon, n_steps,
-                                       seed, n_paths, stream=stream)
-            A = np.exp(log_exp_functional(grid, K, -beta))
-            vals = _stable_cbi_transform(z, lam, beta * c * A, beta, c, kappa)
-            se = float(vals.std(ddof=1) / math.sqrt(n_paths))
-            ests.append(MCEstimate(float(vals.mean()), se, n_paths, "mc",
-                                   {"seed": seed, "stream": stream, "T": horizon,
-                                    "n_steps": n_steps}))
+            vals = np.empty(n_paths)
+            for rows, grid, K in _env_path_blocks(env.sigma, env.m, horizon, n_steps,
+                                                  seed, n_paths, stream=stream):
+                A = np.exp(log_exp_functional(grid, K, -beta))
+                vals[rows] = _stable_cbi_transform(z, lam, beta * c * A, beta, c, kappa)
+            ests.append(_mc_estimate(vals, "mc", {"seed": seed, "stream": stream,
+                                                  "T": horizon, "n_steps": n_steps}))
         limit = _stable_cbi_limit_transform(z, lam, env.m, env.sigma, beta, c, kappa)
         return CbibreLongterm("converges", limit, ests, [], lam, z)
     # m <= 0: medians of simulated Z_T must grow.  A coarse jump threshold

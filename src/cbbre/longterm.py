@@ -28,10 +28,11 @@ from scipy import special
 
 from .environment import (
     MCEstimate,
+    _env_path_blocks,
+    _mc_estimate,
     density_expectation,
     hw_marginal_expectation,
     log_exp_functional,
-    sample_env_paths,
 )
 from .errors import MethodError, ParameterError, RegimeError
 from .mechanisms import (
@@ -40,7 +41,7 @@ from .mechanisms import (
     SurvivalRegime,
     classify_regime,
 )
-from .numerics import _gamma_rule, gamma_power_laplace, gl_panels, u_half
+from .numerics import _gamma_rule, _peak_shape, _row_sums, gamma_power_laplace, gl_panels, u_half
 
 __all__ = [
     "survival_prob",
@@ -69,14 +70,13 @@ def _mc_prob(z, t, env, n_paths, n_steps, seed, estimator) -> MCEstimate:
     # 1 - exp(-z v) averaged over sampled environments, where v = v_t(0, inf)
     # for beta > 0 (survival) and v = v_t(0, 0) for beta < 0 (explosion)
     n_steps = n_steps or max(400, int(round(200 * t)))
-    grid, K0 = sample_env_paths(env.sigma, env.m, t, n_steps, seed, n_paths)
-    log_a = log_exp_functional(grid, K0, -env.beta)
-    arg = z * (env.beta * env.c) ** (-1.0 / env.beta) * np.exp(-log_a / env.beta)
-    ps = -np.expm1(-arg)
-    se = float(ps.std(ddof=1) / math.sqrt(n_paths))
-    manifest = {"seed": seed, "n_paths": n_paths, "n_steps": n_steps,
-                "estimator": estimator}
-    return MCEstimate(float(ps.mean()), se, n_paths, "mc", manifest)
+    ps = np.empty(n_paths)
+    scale = z * (env.beta * env.c) ** (-1.0 / env.beta)
+    for rows, grid, K0 in _env_path_blocks(env.sigma, env.m, t, n_steps, seed, n_paths):
+        log_a = log_exp_functional(grid, K0, -env.beta)
+        ps[rows] = -np.expm1(-scale * np.exp(-log_a / env.beta))
+    return _mc_estimate(ps, "mc", {"seed": seed, "n_paths": n_paths, "n_steps": n_steps,
+                                   "estimator": estimator})
 
 
 def survival_prob(z: float, t: float, env: EnvParams, method: str = "mc",
@@ -198,7 +198,6 @@ def extinction_bounds(z: float, env: EnvParams, gamma2: float,
 # ---------------------------------------------------------------------------
 
 _PHI_XI_PANEL = 2.0  # xi panel width; 16 nodes a panel
-_PHI_BLOCK = 1 << 18  # kernel evaluations per block of v
 
 
 def _phi_xi_rule(eta: float, v_min: float, width: float):
@@ -221,10 +220,7 @@ def _phi_eta_rule(v, eta: float, width: float):
     xi, wx = _phi_xi_rule(eta, float(v.min(initial=1.0)), width)
     wx = wx * xi * np.sinh(xi)
     c2 = np.cosh(xi) ** 2
-    out = np.empty_like(v)
-    rows = max(1, _PHI_BLOCK // xi.size)
-    for i in range(0, v.size, rows):
-        out[i:i + rows] = u_half(a, np.outer(v[i:i + rows], c2)) @ wx
+    out = _row_sums(lambda vv: u_half(a, np.outer(vv, c2)), v, wx)
     pref = special.gamma(0.5 * (eta + 2.0)) * special.gamma(a) / (math.sqrt(2.0) * np.pi)
     return pref * np.exp(-v) * v ** (-a) * out
 
@@ -278,21 +274,17 @@ def _critical_rows(q, p: float):
     for p > 0 (critical survival) and e^{-u} for p < 0 (critical explosion).
 
     It is Gamma(s) E[g(q G^p) G^-s], G ~ Gamma(s), bounded in both cases, on
-    `_gamma_rule`.  s = 1, but for p < 0 the integrand peaks at
-    x* = (|p| q)^{1/(1+|p|)} with width 1/sqrt((1+|p|) x*) in log x: s = x*/4
-    takes the rule's reach (60 + 12 s) past it, with narrower panels.
+    `_gamma_rule`: s = 1, or for p < 0 the shape that `_peak_shape` places
+    at the integrand's peak.
     """
     q = np.asarray(q, float)
-    shape, power = 1.0, p
-    if p < 0:
-        peak = (-p * q.max()) ** (1.0 / (1.0 - p))
-        shape, power = max(1.0, 0.25 * peak), max(-p, 2.0 * math.sqrt((1.0 - p) * peak))
+    shape, power = _peak_shape(1.0, p, float(q.max(initial=0.0)))
     x, w = _gamma_rule(shape, power)
     w = w * np.exp(special.gammaln(shape) - shape * np.log(x))
+    g = (lambda u: -np.expm1(u)) if p > 0 else np.exp
     with np.errstate(over="ignore"):  # x**p = inf gives g = 0 or 1
-        arg = np.outer(q, -x**p)
-    # einsum, unlike a matrix product, sums each row alike for any row count
-    return np.einsum("ij,j->i", -np.expm1(arg) if p > 0 else np.exp(arg), w)
+        xp = -x**p
+        return _row_sums(lambda qq: g(np.outer(qq, xp)), q, w)
 
 
 def critical_constant_integral(q: float, beta: float) -> float:

@@ -1,8 +1,11 @@
 """Quadrature building blocks.
 
-Three things live here because several modules need them:
+Four things live here because several modules need them:
 
 * composite Gauss-Legendre panel rules (`gl_panels`),
+* the row blocks of every row sweep (`_row_blocks`), whose temporaries hold
+  at most ``_ROW_BUDGET`` float64 elements, and the kernel sums on them
+  (`_row_sums`),
 * a fast vectorized confluent kernel ``U(a, 1/2, w)`` for every
   ``0 < a <= 4`` (`u_half`), together with the cancellation-free difference
   ``U(a,1/2,w) - U(a,1/2,0)`` (`u_half_diff`) that the oscillatory density
@@ -12,7 +15,8 @@ Three things live here because several modules need them:
   (`_gamma_rule`): Gauss-Legendre panels in log x that keep the mass near
   zero as one node; `gamma_power_expectation` and the Laplace transform
   ``E[exp(-theta * G^power)]`` (`gamma_power_laplace`) are weighted sums on
-  it, and so are the vectorized callers in other modules.
+  it (placed by `_peak_shape` for negative powers), and so are the
+  vectorized callers in other modules.
 
 The confluent kernel has three zones in w: the Kummer connection series
 for small ``w``, a piecewise Chebyshev fit of log U in log w (built once per
@@ -58,6 +62,33 @@ def gl_panels(edges, order: int = 16):
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     weights = (half[:, None] * wg[None, :]).ravel()
     return nodes, weights
+
+
+#: float64 elements in one (rows x columns) temporary of a row sweep; at
+#: 512 KiB the allocator reuses a block's memory for the next block, where
+#: at 2 MiB it hands it back to the system and every block faults it in anew
+_ROW_BUDGET = 1 << 16
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Slices of consecutive rows, each block of n_cols columns within
+    `_ROW_BUDGET` elements (one row at least).  Callers reduce every row on
+    its own, so no budget changes a value."""
+    step = max(1, _ROW_BUDGET // max(n_cols, 1))
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
+
+
+def _row_sums(block, x, w, noise: bool = False):
+    """sum_j block(x)[i, j] w[j] for each point x[i], one row block at a time
+    (einsum sums each row alike for any row count; a BLAS product does not);
+    ``noise`` adds sum_j |block(x)[i, j] w[j]|, its cancellation scale, as a second row."""
+    out = np.empty((1 + noise, len(x)))
+    for rows in _row_blocks(len(x), w.size):
+        B = block(x[rows])
+        out[0, rows] = np.einsum("ij,j->i", B, w)
+        if noise:
+            out[1, rows] = np.einsum("ij,j->i", np.abs(B, out=B), np.abs(w))
+    return out if noise else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +309,40 @@ def gamma_power_expectation(func, shape: float, power: float = 1.0) -> float:
         return float(w @ func(x))
 
 
+def _peak_shape(shape: float, power: float, theta: float):
+    """Shape s' and panel power of the `_gamma_rule` for f(x) e^(-theta x^power)
+    against G ~ Gamma(shape), theta the largest one; the caller reweights,
+    E_s[f(G)] = Gamma(s')/Gamma(s) E_s'[f(G) G^(s-s')].
+
+    Positive powers keep (shape, power).  For power < 0 the integrand peaks
+    at x* = (|power| theta)^(1/(1+|power|)) with width 1/sqrt((1+|power|) x*)
+    in log x: s' = x*/4 takes the rule's reach (60 + 12 s') past it, and the
+    panels narrow with the width.
+    """
+    if power >= 0:
+        return shape, power
+    peak = (-power * theta) ** (1.0 / (1.0 - power))
+    return max(shape, 0.25 * peak), max(-power, 2.0 * math.sqrt((1.0 - power) * peak))
+
+
 def gamma_power_laplace(theta: float, shape: float, power: float):
     """E[exp(-theta * G**power)] for G ~ Gamma(shape, rate 1).
 
     This is the canonical numerical object behind the formal series
     sum_n (-theta)^n Gamma(n*power + shape)/(n! Gamma(shape)); the series
     itself diverges whenever |power| > 1 and is offered separately as a
-    diagnostic only.
+    diagnostic only.  The rule sits at the integrand's peak (`_peak_shape`).
     """
     if theta < 0:
         raise ValueError("theta must be nonnegative")
     if theta == 0:
         return 1.0
-    return gamma_power_expectation(lambda x: np.exp(-theta * x**power), shape, power)
+    if shape <= 0:
+        raise ValueError("Gamma shape must be positive")
+    s, p = _peak_shape(shape, power, theta)
+    lead = special.gammaln(s) - special.gammaln(shape)  # 0 when s = shape
+    return gamma_power_expectation(
+        lambda x: np.exp(lead + (shape - s) * np.log(x) - theta * x**power), s, p)
 
 
 def gamma_power_series(theta: float, shape: float, power: float, n_terms: int = 20):

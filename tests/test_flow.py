@@ -109,6 +109,14 @@ class TestClosedForms:
             closed_form_stable(2.0, 1.0, flat, 1.0, 1.0, 800.0), rel=1e-13)
         assert closed_form_feller(2.0, 1.0, flat, 800.0, 1.0) == pytest.approx(800.0, rel=1e-9)
 
+    def test_pure_drift_past_the_largest_double(self):
+        # gamma2 = 0: v = lam e^{alpha t}, which rounds to inf once alpha t > 709
+        flat = make_flat(T=800.0)
+        assert closed_form_feller(2.0, 800.0, flat, 1.0, 0.0) == math.inf
+        assert closed_form_feller(1e-300, 800.0, flat, 1.0, 0.0) == pytest.approx(
+            math.exp(800.0 - 300.0 * math.log(10.0)), rel=1e-12)
+        assert cond_laplace(1.0, 2.0, 800.0, flat, Feller(1.0, 0.0)) == 0.0
+
     def test_flavors_agree_pathwise(self):
         # K0 = K + alpha*t pathwise: v(K0-form, lam) = v(K-form, lam e^{-alpha t})
         alpha, t = 0.6, 1.0

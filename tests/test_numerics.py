@@ -188,3 +188,24 @@ class TestGammaRule:
                 ref = mpmath.quad(lambda u: mpmath.exp(-theta * u ** (p / s) - u ** (1 / s)),
                                   pts) / mpmath.gamma(s + 1)
                 assert abs(gamma_power_laplace(theta, shape, p) - float(ref)) < 1e-14
+
+
+class TestPeakPlacement:
+    @pytest.mark.parametrize("shape", [0.05, 1.0, 12.0])
+    @pytest.mark.parametrize("theta", [1e3, 1e4, 1e5])
+    def test_negative_power_large_theta_matches_mpmath(self, shape, theta):
+        # E[exp(-theta G^p)], p = -10/9: the integrand peaks far beyond the
+        # reach of the shape's own rule; mpmath integrates in t = log x,
+        # centred on the peak of s t - e^t - theta e^(p t)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            s, p, th = mpmath.mpf(shape), mpmath.mpf(-10) / 9, mpmath.mpf(theta)
+            phi = lambda t: s * t - mpmath.exp(t) - th * mpmath.exp(p * t)
+            t0 = mpmath.findroot(lambda t: s - mpmath.exp(t) - p * th * mpmath.exp(p * t),
+                                 mpmath.log((-p * th) ** (1 / (1 - p)) + s))
+            sd = 1 / mpmath.sqrt(mpmath.exp(t0) + p * p * th * mpmath.exp(p * t0))
+            top = phi(t0)
+            body = mpmath.quad(lambda t: mpmath.exp(phi(t) - top),
+                               [t0 + k * sd for k in range(-60, 61, 4)])
+            ref = float(mpmath.exp(top - mpmath.loggamma(s)) * body)
+        assert gamma_power_laplace(theta, shape, -10.0 / 9.0) == pytest.approx(ref, rel=1e-12)
