@@ -96,6 +96,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path):
         "absorbed_freq": float(np.isfinite(batch.t0).mean()),
         "explosion_freq": float(np.isfinite(batch.t_inf).mean()),
         "env_flavor": batch.env_flavor,
+        "scheme": batch.scheme,
     }
     p0 = batch.path(0)
     rows = [{"t": float(t), "quantity": "Z", "estimate": float(z),
@@ -210,7 +211,7 @@ def _run_qprocess(cfg: ExperimentConfig, out: Path):
     emit_plot_data(rows, out / "qprocess.csv",
                    ["t", "quantity", "estimate", "stderr", "method"])
     summary = {"z0": z0, "U": U(z0, env), "theta": theta(env),
-               "martingale_check": checks}
+               "martingale_check": checks, "scheme": batch.scheme}
     return ok, summary, rows
 
 

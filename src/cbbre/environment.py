@@ -156,9 +156,17 @@ def _env_path_blocks(sigma: float, drift: float, T: float, n_steps: int,
         raise ParameterError("need T > 0 and n_steps >= 1")
     if sigma < 0:
         raise ParameterError("sigma must be nonnegative")
-    gen = _rng.stream(seed, stream)
-    dt = T / n_steps
     grid = np.linspace(0.0, T, n_steps + 1)
+    for rows, K in _increment_blocks(_rng.stream(seed, stream), n_paths, n_steps,
+                                     drift, sigma, T / n_steps):
+        yield rows, grid, K
+
+
+def _increment_blocks(gen, n_paths: int, n_steps: int, drift: float, sigma: float,
+                      dt: float):
+    """``(rows, K)`` blocks of paths started at 0, n_steps steps of dt each,
+    within the row budget of `numerics`; the increments are drawn row after
+    row from ``gen``, so no budget changes a path."""
     for rows in _row_blocks(n_paths, n_steps + 1):
         K = np.empty((rows.stop - rows.start, n_steps + 1))
         K[:, 0] = 0.0
@@ -167,7 +175,7 @@ def _env_path_blocks(sigma: float, drift: float, T: float, n_steps: int,
         else:
             inc = gen.normal(drift * dt, sigma * math.sqrt(dt), size=(K.shape[0], n_steps))
             np.cumsum(inc, axis=1, out=K[:, 1:])
-        yield rows, grid, K
+        yield rows, K
 
 
 def sample_env_path(sigma: float, drift: float, T: float, n_steps: int,

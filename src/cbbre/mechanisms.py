@@ -8,8 +8,9 @@ specified here either through one of the named families (Neveu, Feller,
 stable-with-drift) or through a tabulated jump measure.  Each is a subclass
 of ``Mechanism`` that answers everything the package asks of a mechanism
 (psi and its kin, its flags, its SDE coefficients and jump law, its closed
-form, its config block); no other module tests a mechanism's type.  The
-immigration measures answer phi and their jump law the same way.
+form, its exact transition law given the environment, its config block);
+no other module tests a mechanism's type.  The immigration measures answer
+phi and their jump law the same way.
 
 Environment parameters collect the volatility sigma of the Brownian
 environment together with the drift alpha of the mechanism and the derived
@@ -34,7 +35,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma as _gamma_fn
 
-from .environment import integral_exp_linear
+from .environment import integral_exp_linear, log_exp_functional
 from .errors import ParameterError, UnsupportedMechanismError
 
 __all__ = [
@@ -87,6 +88,28 @@ class JumpLaw:
     small_var: float = 0.0
 
 
+def _first_crossing(K, log_level, dt):
+    """First step j >= 1 at which the trapezoid clock int_0^(j dt) e^(-K)
+    reaches e^log_level on each row of K (the last step if rounding keeps
+    it just short)."""
+    top = (-K).max(axis=1, keepdims=True)
+    e = np.exp(-K - top)
+    clock = np.cumsum(0.5 * dt * (e[:, 1:] + e[:, :-1]), axis=1)
+    reached = clock >= np.exp(log_level - top[:, 0])[:, None]
+    return np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, K.shape[1] - 1)
+
+
+def _log_positive_stable(index, one_minus_index, rng, n):
+    """log S for n draws of the positive stable law E[e^(-lam S)] =
+    exp(-lam^index), 0 < index < 1, by Kanter's representation
+    S = (A(U)/E)^((1-index)/index), U ~ U(0, pi), E ~ Exp(1); the log form
+    keeps index near 1 (short segments) free of overflow."""
+    u = rng.uniform(0.0, math.pi, n)
+    e = rng.standard_exponential(n)
+    return (np.log(np.sin(index * u)) - np.log(np.sin(u)) / index
+            + one_minus_index / index * (np.log(np.sin(one_minus_index * u)) - np.log(e)))
+
+
 def _pareto_sampler(eps: float, index: float):
     # inverse of the tail P(size > x) = (x/eps)^-index, x >= eps
     def sample(rng, n):
@@ -126,6 +149,18 @@ class Mechanism:
         """The jumps of size >= eps per unit mass; None without jumps."""
         return None
 
+    #: ``exact_step(z, env, dt, rng, d=0.0)`` draws Z at the end of one
+    #: interval from its transition law given the environment, or is None.
+    #: ``z``: the states at the start; ``env`` yields ``(rows, K)`` blocks that
+    #: together cover every path once, K[i, j] being the recorded environment
+    #: (K or K0, as ``sde_coefficients`` says) after j steps of ``dt`` less its
+    #: value at the start; ``rng`` draws the demographic noise, one call over
+    #: all paths per variate; ``d`` is the linear immigration rate.  Returns
+    #: ``(z_end, dk, hit)``: ``dk`` is K[:, -1] of every path, and ``hit`` the
+    #: step at which each path was absorbed (0 if it was not), or None where
+    #: the mechanism never absorbs.
+    exact_step = None
+
     def closed_form(self, lam: float, t: float, env) -> float | None:
         """v_t(0, lambda) on the path ``env`` in closed form, or None."""
         return None
@@ -155,7 +190,8 @@ class Neveu(Mechanism):
         return 1.0
 
     def sde_coefficients(self):
-        return NEVEU_DRIFT, 0.0, "K", None
+        # psi(u) = -a u + ... with a = -NEVEU_DRIFT: the SDE drift is a Z
+        return -NEVEU_DRIFT, 0.0, "K", None
 
     def jump_law(self, eps):
         # mu(dx) = x^-2 dx: Pareto index 1 above eps, compensation of [eps, 1)
@@ -167,6 +203,24 @@ class Neveu(Mechanism):
         from .flow import closed_form_neveu
 
         return closed_form_neveu(lam, t, env)
+
+    def exact_step(self, z, env, dt, rng, d=0.0):
+        # over h = steps*dt, Z_h e^(-K_h) = (z e^J)^(e^h) S with J the segment
+        # exponent int_0^h e^-u K_u du of the closed form and S positive
+        # stable of index e^-h: E[e^(-lam S)] = exp(-lam^(e^-h))
+        from .flow import weighted_exp_decay_integral
+
+        if d:
+            raise UnsupportedMechanismError("immigration requires a finite-mean mechanism")
+        J, k_end = np.empty(z.size), np.empty(z.size)
+        for rows, K in env:
+            steps = K.shape[1] - 1
+            J[rows] = weighted_exp_decay_integral(dt * np.arange(steps + 1), K)[:, 0]
+            k_end[rows] = K[:, -1]
+        h = steps * dt
+        log_s = _log_positive_stable(math.exp(-h), -math.expm1(-h), rng, z.size)
+        with np.errstate(divide="ignore"):  # z = 0 stays 0
+            return np.exp(k_end + math.exp(h) * (np.log(z) + J) + log_s), k_end, None
 
     def to_dict(self):
         return {"kind": "neveu"}
@@ -199,6 +253,44 @@ class Feller(Mechanism):
         from .flow import closed_form_feller
 
         return closed_form_feller(lam, t, env, self.alpha, self.gamma2)
+
+    def exact_step(self, z, env, dt, rng, d=0.0):
+        # Y = Z e^(-K0) is a Feller diffusion with drift d on the clock
+        # A = int e^(-K0) (trapezoid): given Y, N ~ Poisson(Y/(gamma2 A)) and
+        # Y' ~ Gamma(N + d/gamma2, scale gamma2 A).  Without immigration N is
+        # the count of a unit Poisson process on [0, Y/(gamma2 A)]: its first
+        # point E puts absorption at the A-level Y/(gamma2 E), and a survivor
+        # has N = 1 + Poisson(Y/(gamma2 A) - E)
+        g2 = self.gamma2
+        n = z.size
+        log_a, k_end = np.empty(n), np.empty(n)
+        hit = np.zeros(n, dtype=np.int64)
+        absorbing = d == 0.0 and g2 > 0.0
+        if absorbing:
+            live = z > 0.0
+            first = -np.log1p(-rng.random(n))  # -log U, U uniform on (0, 1]
+            with np.errstate(divide="ignore"):
+                log_level = np.where(live, np.log(z / g2) - np.log(first), np.inf)
+        for rows, K in env:
+            grid = dt * np.arange(K.shape[1])
+            log_a[rows] = log_exp_functional(grid, K, -1.0)
+            k_end[rows] = K[:, -1]
+            if absorbing:
+                r = np.nonzero(log_level[rows] <= log_a[rows])[0]
+                if r.size:
+                    hit[rows.start + r] = _first_crossing(K[r], log_level[rows][r], dt)
+        a = np.exp(log_a)
+        if g2 == 0.0:
+            return (z + d * a) * np.exp(k_end), k_end, None
+        mean = z / (g2 * a)
+        if absorbing:
+            alive = live & (hit == 0)
+            extra = rng.poisson(np.where(alive, np.maximum(mean - first, 0.0), 0.0))
+            count = np.where(alive, 1 + extra, 0)
+        else:
+            count = rng.poisson(mean)
+        z_end = rng.gamma(count + d / g2, g2 * a) * np.exp(k_end)
+        return z_end, k_end, (hit if absorbing else None)
 
     def stable_params(self):
         return self.alpha, 1.0, self.gamma2

@@ -1,22 +1,37 @@
-"""Pathwise SDE simulation with absorption and explosion detection.
+"""Pathwise simulation with absorption and explosion detection.
 
-Scheme: explicit Euler with full truncation; all coefficients are evaluated
-at max(Z, 0), so states may briefly dip below zero but are clamped back
-each step.  The mechanism supplies the SDE coefficients
-(``Mechanism.sde_coefficients``) and, for the branching jumps and the
-immigration measure alike, a ``JumpLaw`` above the size threshold
+Two schemes.  Where the mechanism has an exact transition law given the
+environment (``Mechanism.exact_step``: Feller, with or without linear
+immigration, and Neveu), the exact sampler draws Z from it at the end of
+each record interval, so no state is stepped between record times; Feller
+absorption times are exact, located on the grid.  The environment is drawn
+on the simulation grid from the chunk's stream, one record interval at a
+time in the row blocks of `numerics`; the demographic variates come from a
+second stream (the chunk's Philox stream jumped ahead by 2^128 draws), one
+call over the chunk's paths per variate and interval, so a seed draws one
+environment whatever the demography.  No block size or worker count changes
+a value, and no (paths x steps) array is held.  ``"auto"`` takes this
+scheme wherever it applies, that is, with no nu-immigration jumps and no
+``driving`` noise, and Euler elsewhere.
+
+Euler (``"euler-full-truncation"``) is explicit with full truncation: all
+coefficients are evaluated at max(Z, 0), so states may briefly dip below
+zero but are clamped back each step.  The mechanism supplies the SDE
+coefficients (``Mechanism.sde_coefficients``) and, for the branching jumps
+and the immigration measure alike, a ``JumpLaw`` above the size threshold
 ``eps_jump``.  One routine thins every such law: a Poisson count per path,
 sizes from the law's sampler, then the law's drift (the mean of the removed
 small jumps when the SDE does not compensate them, less the compensator of
 the simulated ones when it does) and, for compensated small jumps, a
 variance-matched Gaussian.  Record times must lie on the simulation grid.
 
-Environment increments are drawn once per step and shared between the state
-update and the returned environment path, so formula evaluators can be
-compared pathwise against the same realization.
+In both schemes the environment increments are drawn once per step and
+shared between the state and the returned environment path, so formula
+evaluators can be compared pathwise against the same realization.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -24,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
+from .environment import _increment_blocks
 from .errors import ParameterError, UnsupportedMechanismError
 from .mechanisms import ImmigrationMechanism, JumpLaw, Mechanism, Stable
 
@@ -45,14 +61,26 @@ __all__ = [
 # expected jump count per path-step beyond which a path is declared exploded
 _LAM_MAX = 1e5
 
+EULER = "euler-full-truncation"
+SCHEMES = ("auto", EULER)
+
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Simulation settings.
+
+    ``scheme``: ``"auto"`` (the exact sampler where it applies, Euler
+    elsewhere) or ``"euler-full-truncation"``.  ``eps_jump`` (jump truncation),
+    ``eps_abs`` (absorption level) and ``m_expl`` (explosion level) are Euler
+    thresholds; the exact sampler ignores them: its zero is exact absorption,
+    and a large state is a value, not an explosion.
+    """
+
     dt: float = 1e-3
     eps_jump: float = 1e-3
     eps_abs: float = 1e-10
     m_expl: float = 1e9
-    scheme: str = "euler-full-truncation"
+    scheme: str = "auto"
     seed: int = 0
 
     def __post_init__(self):
@@ -60,9 +88,9 @@ class SimConfig:
             raise ParameterError("dt and eps_jump must be positive")
         if self.m_expl <= 0:
             raise ParameterError("explosion threshold must be positive")
-        if self.scheme != "euler-full-truncation":
+        if self.scheme not in SCHEMES:
             raise ParameterError(f"unknown simulation scheme {self.scheme!r}; "
-                                 "the only scheme is 'euler-full-truncation'")
+                                 f"the schemes are {', '.join(map(repr, SCHEMES))}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +115,7 @@ class SimBatch:
     t0: np.ndarray  # absorption times, nan if never absorbed
     t_inf: np.ndarray  # explosion times, nan if never exploded
     config: SimConfig
+    scheme: str  # the scheme that ran: "exact" or "euler-full-truncation"
 
     @property
     def n_paths(self) -> int:
@@ -152,31 +181,68 @@ def simulate_stable_jumps(state, dt: float, beta: float, c: float,
 _STEP_BLOCK = 8  # steps of driving noise transposed at a time
 
 
-def _run_chunk(mech, sigma, z0, T, cfg, n, gen, record_idx, imm,
+def _run_chunk(mech, sigma, z0, T, cfg, n, gen, record_idx, imm, scheme,
                driving=None):
-    alpha, gamma2, flavor, mean_growth = mech.sde_coefficients()
+    """n paths by ``scheme``: Z and the environment at the steps
+    ``record_idx``, absorption and explosion times."""
+    flavor, mean_growth = mech.sde_coefficients()[2:]
     k_drift = (0.0 if flavor == "K" else mean_growth) - 0.5 * sigma**2
     n_steps = int(round(T / cfg.dt))
     dt = T / n_steps
-    sq_dt = math.sqrt(dt)
-    jumps = mech.jump_law(cfg.eps_jump)
     absorbing = imm is None or imm.trivial
-    imm_drift = 0.0 if absorbing else imm.d
-    imm_jumps = None if absorbing or imm.nu is None else imm.nu.jump_law(cfg.eps_jump)
-    per_path = np.ones(n)  # immigration arrives at the same rate on every path
-
     z = np.full(n, float(z0))
-    k_env = np.zeros(n)
     t0 = np.full(n, np.nan)
     t_inf = np.full(n, np.nan)
     if z0 == 0 and absorbing:
         t0[:] = 0.0
+    if scheme == EULER:
+        states = _euler_states(mech, sigma, z, cfg, gen, imm, dt, n_steps, k_drift,
+                               absorbing, t0, t_inf, driving)
+    else:
+        stops = sorted(set(record_idx) - {0} | {n_steps})
+        states = _exact_states(mech, sigma, z, gen, imm, dt, stops, k_drift, t0)
     z_rec = np.empty((n, len(record_idx)))
     k_rec = np.empty((n, len(record_idx)))
     rec_map = {idx: j for j, idx in enumerate(record_idx)}
-    if 0 in rec_map:
-        z_rec[:, rec_map[0]] = z
-        k_rec[:, rec_map[0]] = 0.0
+    for step_i, z, k_env in itertools.chain([(0, z, 0.0)], states):
+        if step_i in rec_map:
+            j = rec_map[step_i]
+            z_rec[:, j] = z
+            k_rec[:, j] = k_env
+    return z_rec, k_rec, t0, t_inf, flavor
+
+
+def _exact_states(mech, sigma, z, gen, imm, dt, stops, k_drift, t0):
+    """``(step, Z, K)`` at each of the steps ``stops`` by ``mech.exact_step``,
+    absorption times into ``t0``.  The environment is drawn from ``gen`` one
+    interval at a time, the demography from ``gen`` jumped ahead by 2^128."""
+    d = 0.0 if imm is None else imm.d
+    demo = np.random.Generator(gen.bit_generator.jumped())
+    k_env = np.zeros(z.size)
+    start = 0
+    for stop in stops:
+        env = _increment_blocks(gen, z.size, stop - start, k_drift, sigma, dt)
+        z, dk, hit = mech.exact_step(z, env, dt, demo, d)
+        if hit is not None:
+            dead = hit > 0
+            t0[dead] = (start + hit[dead]) * dt
+        k_env = k_env + dk
+        yield stop, z, k_env
+        start = stop
+
+
+def _euler_states(mech, sigma, z, cfg, gen, imm, dt, n_steps, k_drift, absorbing,
+                  t0, t_inf, driving):
+    """``(step, Z, K)`` after each Euler step, absorption and explosion times
+    into ``t0`` and ``t_inf``."""
+    alpha, gamma2 = mech.sde_coefficients()[:2]
+    n = z.size
+    sq_dt = math.sqrt(dt)
+    jumps = mech.jump_law(cfg.eps_jump)
+    imm_drift = 0.0 if absorbing else imm.d
+    imm_jumps = None if absorbing or imm.nu is None else imm.nu.jump_law(cfg.eps_jump)
+    per_path = np.ones(n)  # immigration arrives at the same rate on every path
+    k_env = np.zeros(n)
     if driving is None:
         # bulk-drawn per chunk: per-step Generator calls dominate otherwise
         all_dB = gen.normal(0.0, sq_dt, (n, n_steps))
@@ -232,11 +298,16 @@ def _run_chunk(mech, sigma, z0, T, cfg, n, gen, record_idx, imm,
                 live &= ~dead
                 all_live = False
         z = z_new
-        if step_i in rec_map:
-            j = rec_map[step_i]
-            z_rec[:, j] = z
-            k_rec[:, j] = k_env
-    return z_rec, k_rec, t0, t_inf, flavor
+        yield step_i, z, k_env
+
+
+def _resolve_scheme(mech, imm, cfg, driving) -> str:
+    """The scheme that runs: the exact sampler unless ``cfg.scheme`` forces
+    Euler or the run needs what only Euler draws."""
+    if (cfg.scheme == EULER or mech.exact_step is None or driving is not None
+            or (imm is not None and imm.nu is not None)):
+        return EULER
+    return "exact"
 
 
 def _resolve_record(T, cfg, record_times):
@@ -267,11 +338,12 @@ def simulate_cbbre_batch(mech: Mechanism, sigma: float, z0: float, T: float,
                          workers: int = 1) -> SimBatch:
     """Simulate many CBBRE paths; record states at ``record_times``.
 
-    ``record_times=None`` keeps the full grid (memory permitting); given
-    times must be distinct grid points in [0, T].  With
-    ``workers > 1`` chunks run on a thread pool; each chunk owns its RNG
-    stream and reduction is in chunk order, so results are identical for
-    any worker count.
+    ``cfg.scheme`` selects the exact sampler or Euler (see `SimConfig`);
+    the batch records the one that ran.  ``record_times=None`` keeps the
+    full grid (memory permitting); given times must be distinct grid points
+    in [0, T].  With ``workers > 1`` chunks run on a thread pool; each chunk
+    owns its RNG streams and reduction is in chunk order, so results are
+    identical for any worker count.
     """
     if z0 < 0 or T <= 0:
         raise ParameterError("need z0 >= 0 and T > 0")
@@ -282,22 +354,25 @@ def simulate_cbbre_batch(mech: Mechanism, sigma: float, z0: float, T: float,
             "immigration requires a finite-mean branching mechanism"
         )
     record_idx, times = _resolve_record(T, cfg, record_times)
-    n_steps = int(round(T / cfg.dt))
-    chunk = max(1000, min(chunk, int(2.5e7 / max(n_steps, 1))))
+    scheme = _resolve_scheme(mech, imm, cfg, driving)
     flavor = mech.sde_coefficients()[2]
+    if scheme == EULER:
+        # Euler holds the chunk's (paths x steps) noise: bound its size
+        n_steps = int(round(T / cfg.dt))
+        chunk = max(1000, min(chunk, int(2.5e7 / max(n_steps, 1))))
     if driving is not None:
         gen = _rng.stream(cfg.seed, 1)
         z, k, t0, ti, flavor = _run_chunk(mech, sigma, z0, T, cfg,
                                           driving[0].shape[0], gen, record_idx,
-                                          imm, driving)
+                                          imm, scheme, driving)
         results = [(z, k, t0, ti)]
     else:
         chunks = _rng.chunk_streams(cfg.seed, n_paths, chunk)
 
         def work(args):
             gen, m = args
-            z, k, t0, ti, _ = _run_chunk(mech, sigma, z0, T, cfg, m, gen,
-                                         record_idx, imm)
+            z, k, t0, ti, _ = _run_chunk(mech, sigma, z0, T, cfg, m, gen, record_idx,
+                                         imm, scheme)
             return z, k, t0, ti
 
         if workers > 1 and len(chunks) > 1:
@@ -310,7 +385,7 @@ def simulate_cbbre_batch(mech: Mechanism, sigma: float, z0: float, T: float,
     return SimBatch(times, np.vstack([r[0] for r in results]),
                     np.vstack([r[1] for r in results]), flavor,
                     np.concatenate([r[2] for r in results]),
-                    np.concatenate([r[3] for r in results]), cfg)
+                    np.concatenate([r[3] for r in results]), cfg, scheme)
 
 
 def simulate_cbbre(mech: Mechanism, sigma: float, z0: float, T: float,

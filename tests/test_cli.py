@@ -129,6 +129,22 @@ class TestCli:
         csvs = [(tmp_path / n / "path0.csv").read_bytes() for n in ("a", "b")]
         assert csvs[0] == csvs[1]
 
+    @pytest.mark.parametrize("mechanism, scheme", [
+        ({"kind": "neveu"}, "exact"),
+        ({"kind": "stable", "alpha": 0.5, "beta": 0.5, "c": 1.0}, "euler-full-truncation"),
+    ])
+    def test_summary_records_the_scheme(self, tmp_path, mechanism, scheme):
+        doc = dict(BASE) | {
+            "mechanism": mechanism,
+            "experiment": {"kind": "simulate", "z0": 1.0, "T": 1.0, "n_paths": 1000},
+            "seed": 1,
+        }
+        cfg = write_cfg(tmp_path, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        summary = json.loads((tmp_path / "a" / "summary.json").read_text())["summary"]
+        assert summary["scheme"] == scheme
+        assert summary["explosion_freq"] == 0.0
+
     def test_default_record_times_on_uneven_grid(self, tmp_path):
         # T/dt = 16.7: the default record times are put on the 17-step grid
         doc = dict(BASE) | {
@@ -179,6 +195,7 @@ class TestCli:
         doc = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert doc["summary"]["theta"] == pytest.approx(0.5)
         assert doc["summary"]["martingale_check"][0]["pass"]
+        assert doc["summary"]["scheme"] == "exact"
 
     def test_qprocess_default_times_on_uneven_grid(self, tmp_path):
         # dt = 0.03 gives 67 steps to T = 2: the default times 0.5, 1, 2

@@ -16,7 +16,8 @@ from cbbre.environment import (
 )
 from cbbre.immigration import cbibre_longterm
 from cbbre.longterm import explosion_prob, phi_eta_grid, survival_prob
-from cbbre.mechanisms import derive_env
+from cbbre.mechanisms import Feller, ImmigrationMechanism, Neveu, derive_env
+from cbbre.simulate import SimConfig, simulate_cbbre_batch
 
 #: a budget of a few rows for every sweep below
 FEW_ROWS = 2000
@@ -44,6 +45,18 @@ def _lemma1():
             *_est(rep.inequality_rhs)]
 
 
+def _exact_simulation():
+    # the exact sampler: absorbing Feller, Feller with linear immigration, Neveu
+    out = []
+    for mech, z0, imm in ((Feller(-0.5, 2.0), 0.5, None),
+                          (Feller(0.2, 1.0), 1.0, ImmigrationMechanism(1.5)), (Neveu(), 1.0, None)):
+        b = simulate_cbbre_batch(mech, 1.0, z0, 1.0, SimConfig(dt=0.01, seed=4), 300,
+                                 record_times=[0.3, 1.0], imm=imm, chunk=200)
+        assert b.scheme == "exact"
+        out += [b.z.ravel(), b.env_values.ravel(), np.nan_to_num(b.t0, nan=-1.0)]
+    return np.concatenate(out)
+
+
 SWEEPS = {
     "sample_env_paths": lambda: sample_env_paths(0.8, -0.3, 2.0, 300, 5, 400, stream=2)[1],
     "survival_mc": lambda: _est(survival_prob(1.0, 1.0, SURVIVAL_ENV, "mc", n_paths=300, seed=1)),
@@ -60,6 +73,7 @@ SWEEPS = {
     "U_star": lambda: U_star_vectorized(SUPERCRITICAL_ENV)(STATES),
     "conditioned_survival_quadrature": lambda: conditioned_survival(
         1.0, 6.0, SUPERCRITICAL_ENV, method="quadrature").value,
+    "simulate_exact": _exact_simulation,
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from scipy.special import gamma as gamma_fn
 from scipy.stats import ks_2samp
 
 from cbbre import rng as _rng
+from cbbre.environment import integral_exp_linear, sample_env_path
 from cbbre.errors import ParameterError
-from cbbre.flow import suffix_integral_exp_linear
+from cbbre.flow import closed_form_feller, closed_form_neveu, suffix_integral_exp_linear
 from cbbre.mechanisms import (
     Feller,
     GeneralCB,
@@ -17,7 +19,9 @@ from cbbre.mechanisms import (
     StableImmigration,
     TabulatedMeasure,
 )
+from cbbre.numerics import _row_blocks
 from cbbre.simulate import (
+    EULER,
     SimConfig,
     SimPath,
     detect_events,
@@ -27,6 +31,10 @@ from cbbre.simulate import (
     simulate_cbibre_batch,
     simulate_stable_jumps,
 )
+
+
+#: both schemes: "auto" runs the exact sampler on the Feller cases below
+SCHEMES_RUN = ("auto", EULER)
 
 
 class TestBasics:
@@ -51,6 +59,7 @@ class TestBasics:
                                  record_times=[1.0], chunk=10000, workers=1)
         b = simulate_cbbre_batch(Feller(0.2, 1.0), 1.0, 1.0, 1.0, cfg, 30000,
                                  record_times=[1.0], chunk=10000, workers=4)
+        assert a.scheme == b.scheme == "exact"
         assert np.array_equal(a.z, b.z)
 
     def test_unknown_scheme_rejected(self):
@@ -76,18 +85,20 @@ class TestBasics:
                                  record_times=times)
 
     def test_nonnegative_everywhere(self):
-        cfg = SimConfig(dt=0.005, seed=4)
-        b = simulate_cbbre_batch(Feller(-1.0, 2.0), 1.0, 0.5, 1.0, cfg, 500)
-        assert np.nanmin(b.z) >= 0.0
+        for scheme in SCHEMES_RUN:
+            cfg = SimConfig(dt=0.005, seed=4, scheme=scheme)
+            b = simulate_cbbre_batch(Feller(-1.0, 2.0), 1.0, 0.5, 1.0, cfg, 500)
+            assert np.nanmin(b.z) >= 0.0
 
     def test_absorption_permanence(self):
-        cfg = SimConfig(dt=0.005, seed=5)
-        b = simulate_cbbre_batch(Feller(-1.5, 1.0), 1.0, 0.3, 2.0, cfg, 400)
-        absorbed = np.isfinite(b.t0)
-        assert absorbed.any()
-        for i in np.nonzero(absorbed)[0][:50]:
-            j = np.searchsorted(b.times, b.t0[i])
-            assert np.all(b.z[i, j:] == 0.0)
+        for scheme in SCHEMES_RUN:
+            cfg = SimConfig(dt=0.005, seed=5, scheme=scheme)
+            b = simulate_cbbre_batch(Feller(-1.5, 1.0), 1.0, 0.3, 2.0, cfg, 400)
+            absorbed = np.isfinite(b.t0)
+            assert absorbed.any()
+            for i in np.nonzero(absorbed)[0][:50]:
+                j = np.searchsorted(b.times, b.t0[i])
+                assert np.all(b.z[i, j:] == 0.0)
 
 
 class TestMeanGrowth:
@@ -102,19 +113,20 @@ class TestMeanGrowth:
         assert abs(zT[fin].mean() - math.exp(0.3)) <= 3 * se
 
     def test_feller_survival_matches_conditional_formula(self):
-        cfg = SimConfig(dt=2e-3, seed=7)
-        b = simulate_cbbre_batch(Feller(0.2, 1.0), 1.0, 1.0, 1.0, cfg, 20000,
-                                 record_times=[1.0])
-        freq = (b.z[:, -1] > 0).mean()
-        se_f = math.sqrt(freq * (1 - freq) / b.n_paths)
         # oracle: E[1 - exp(-z/(gamma2 A))] over independent environments
         from cbbre.environment import sample_env_paths
 
         grid, K = sample_env_paths(1.0, 0.2 - 0.5, 1.0, 500, 99, 20000)
         A = suffix_integral_exp_linear(grid, -K)[:, 0]
         ps = -np.expm1(-1.0 / A)
-        se = math.hypot(se_f, ps.std(ddof=1) / math.sqrt(ps.size))
-        assert abs(freq - ps.mean()) <= 3 * se
+        for scheme in SCHEMES_RUN:
+            cfg = SimConfig(dt=2e-3, seed=7, scheme=scheme)
+            b = simulate_cbbre_batch(Feller(0.2, 1.0), 1.0, 1.0, 1.0, cfg, 20000,
+                                     record_times=[1.0])
+            freq = (b.z[:, -1] > 0).mean()
+            se_f = math.sqrt(freq * (1 - freq) / b.n_paths)
+            se = math.hypot(se_f, ps.std(ddof=1) / math.sqrt(ps.size))
+            assert abs(freq - ps.mean()) <= 3 * se, scheme
 
     def test_weak_convergence_order(self):
         # coupled refinements: the same Brownian increments aggregated per
@@ -256,15 +268,16 @@ class TestImmigration:
         assert not np.isfinite(b.t0).any()
 
     def test_trivial_immigration_reduces_to_cbbre(self):
-        cfg = SimConfig(dt=5e-3, seed=13)
         imm0 = ImmigrationMechanism(0.0, None)
-        a = simulate_cbibre_batch(Feller(0.1, 1.0), imm0, 1.0, 1.0, 1.0, cfg,
-                                  20000, record_times=[1.0])
-        b = simulate_cbbre_batch(Feller(0.1, 1.0), 1.0, 1.0, 1.0,
-                                 SimConfig(dt=5e-3, seed=14), 20000,
-                                 record_times=[1.0])
-        stat = ks_2samp(a.z[:, -1], b.z[:, -1]).statistic
-        assert stat < 0.03
+        for scheme in SCHEMES_RUN:
+            a = simulate_cbibre_batch(Feller(0.1, 1.0), imm0, 1.0, 1.0, 1.0,
+                                      SimConfig(dt=5e-3, seed=13, scheme=scheme),
+                                      20000, record_times=[1.0])
+            b = simulate_cbbre_batch(Feller(0.1, 1.0), 1.0, 1.0, 1.0,
+                                     SimConfig(dt=5e-3, seed=14, scheme=scheme), 20000,
+                                     record_times=[1.0])
+            stat = ks_2samp(a.z[:, -1], b.z[:, -1]).statistic
+            assert stat < 0.03, scheme
 
     def test_subcritical_cbbre_extinction_unchanged_by_off_switch(self):
         cfg = SimConfig(dt=5e-3, seed=15)
@@ -334,19 +347,21 @@ class TestMartingaleDiagnostics:
         assert rep.mean_ratio == pytest.approx(1.0)
 
     def test_supermartingale_and_regression(self):
-        cfg = SimConfig(dt=2e-3, seed=18)
-        b = simulate_cbbre_batch(Feller(0.7, 1.0), 1.0, 1.0, 1.0, cfg, 30000,
-                                 record_times=[1.0])
-        rep = martingale_diagnostics(b, 1.0)
-        assert rep.supermartingale_ok
-        assert rep.regression_r2 > 0.99
+        for scheme in SCHEMES_RUN:
+            cfg = SimConfig(dt=2e-3, seed=18, scheme=scheme)
+            b = simulate_cbbre_batch(Feller(0.7, 1.0), 1.0, 1.0, 1.0, cfg, 30000,
+                                     record_times=[1.0])
+            rep = martingale_diagnostics(b, 1.0)
+            assert rep.supermartingale_ok
+            assert rep.regression_r2 > 0.99
 
     def test_subcritical_w_is_zero(self):
-        cfg = SimConfig(dt=5e-3, seed=19)
-        b = simulate_cbbre_batch(Feller(-1.0, 1.0), 1.0, 1.0, 30.0, cfg, 2000,
-                                 record_times=[30.0])
-        rep = martingale_diagnostics(b, 1.0)
-        assert rep.p_w_zero >= 0.99
+        for scheme in SCHEMES_RUN:
+            cfg = SimConfig(dt=5e-3, seed=19, scheme=scheme)
+            b = simulate_cbbre_batch(Feller(-1.0, 1.0), 1.0, 1.0, 30.0, cfg, 2000,
+                                     record_times=[30.0])
+            rep = martingale_diagnostics(b, 1.0)
+            assert rep.p_w_zero >= 0.99
 
     def test_supercritical_w_zero_matches_exact_extinction(self):
         # P(W=0) = P(lim Z = 0), known in closed form for Feller; the
@@ -355,11 +370,166 @@ class TestMartingaleDiagnostics:
         from cbbre.mechanisms import derive_env
 
         env = derive_env(1.0, 1.5, 1.0, 1.0)  # m = 1
-        cfg = SimConfig(dt=5e-3, seed=20, m_expl=1e14)
-        b = simulate_cbbre_batch(Feller(1.5, 1.0), 1.0, 1.0, 14.0, cfg, 20000,
-                                 record_times=[14.0])
-        rep = martingale_diagnostics(b, 1.0)
-        assert rep.n_exploded == 0
         target = extinction_prob_exact_stable(1.0, env)
-        se = math.sqrt(target * (1 - target) / b.n_paths)
-        assert abs(rep.p_w_zero - target) <= 3 * se
+        for scheme in SCHEMES_RUN:
+            cfg = SimConfig(dt=5e-3, seed=20, m_expl=1e14, scheme=scheme)
+            b = simulate_cbbre_batch(Feller(1.5, 1.0), 1.0, 1.0, 14.0, cfg, 20000,
+                                     record_times=[14.0])
+            rep = martingale_diagnostics(b, 1.0)
+            assert rep.n_exploded == 0
+            se = math.sqrt(target * (1 - target) / b.n_paths)
+            assert abs(rep.p_w_zero - target) <= 3 * se, scheme
+
+
+def _exact_on_path(mech, z0, env, cuts, n, seed, d=0.0):
+    """(Z_T, T0) of n paths drawn by ``mech.exact_step`` on the one
+    environment path ``env``, record interval by record interval between
+    the grid indices ``cuts``."""
+    rng = _rng.stream(seed, 0)
+    dt = env.grid[1]
+    z, t0 = np.full(n, float(z0)), np.full(n, np.nan)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        K = env.values[a:b + 1] - env.values[a]
+        blocks = ((rows, np.broadcast_to(K, (rows.stop - rows.start, K.size)))
+                  for rows in _row_blocks(n, K.size))
+        z, _, hit = mech.exact_step(z, blocks, dt, rng, d)
+        if hit is not None:
+            t0[hit > 0] = env.grid[a + hit[hit > 0]]
+    return z, t0
+
+
+def _assert_laplace(x, target, lam):
+    # E[exp(-lam X)] within 4 standard errors
+    f = np.exp(-lam * x)
+    se = f.std(ddof=1) / math.sqrt(f.size)
+    assert abs(f.mean() - target) <= 4 * se, (lam, f.mean(), target, se)
+
+
+N_LAW = 100_000
+CUTS = [0, 100, 200, 300, 400]  # four record segments of 0.25 on a 400-step grid
+
+
+class TestExactLaw:
+    """The exact sampler on one fixed environment path against the closed forms."""
+
+    def test_feller(self):
+        mech, z0 = Feller(0.3, 1.0), 1.0
+        env = sample_env_path(1.0, 0.3 - 0.5, 1.0, 400, 41, flavor="K0")
+        z, _ = _exact_on_path(mech, z0, env, CUTS, N_LAW, 1)
+        x = z * math.exp(-env.values[-1])
+        for lam in (0.5, 2.0):
+            target = math.exp(-z0 * closed_form_feller(lam, 1.0, env, 0.3, 1.0))
+            _assert_laplace(x, target, lam)
+
+    def test_feller_linear_immigration(self):
+        mech, z0, d = Feller(-0.5, 1.0), 1.0, 2.0
+        env = sample_env_path(1.0, -0.5 - 0.5, 1.0, 400, 42, flavor="K0")
+        z, t0 = _exact_on_path(mech, z0, env, CUTS, N_LAW, 2, d)
+        assert (z > 0).all() and np.isnan(t0).all()
+        x = z * math.exp(-env.values[-1])
+        A = integral_exp_linear(env.grid, -env.values)
+        for lam in (0.5, 2.0):
+            target = (math.exp(-z0 * closed_form_feller(lam, 1.0, env, -0.5, 1.0))
+                      * (1.0 + lam * A) ** (-d))
+            _assert_laplace(x, target, lam)
+
+    def test_feller_absorption_time(self):
+        # P(T0 <= t | K) = exp(-z / (gamma2 A_t)), inside segments as well
+        # as at their ends
+        mech, z0, g2 = Feller(-0.5, 2.0), 0.5, 2.0
+        env = sample_env_path(1.0, -0.5 - 0.5, 1.0, 400, 43, flavor="K0")
+        z, t0 = _exact_on_path(mech, z0, env, CUTS, N_LAW, 3)
+        assert np.array_equal(np.isfinite(t0), z == 0.0)
+        for j in (30, 100, 170, 260, 400):
+            A = integral_exp_linear(env.grid[:j + 1], -env.values[:j + 1])
+            p = math.exp(-z0 / (g2 * A))
+            freq = float((t0 <= env.grid[j]).mean())
+            assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / N_LAW), (j, freq, p)
+
+    def test_neveu(self):
+        z0 = 1.0
+        env = sample_env_path(1.0, -0.5, 1.0, 400, 44, flavor="K")
+        z, t0 = _exact_on_path(Neveu(), z0, env, CUTS, N_LAW, 4)
+        assert np.isnan(t0).all() and np.isfinite(z).all()
+        x = z * math.exp(-env.values[-1])
+        for lam in (0.5, 2.0):
+            _assert_laplace(x, math.exp(-z0 * closed_form_neveu(lam, 1.0, env)), lam)
+
+
+def _ks_crit(n, m):
+    # two-sample Kolmogorov-Smirnov critical value at level 1e-3
+    return math.sqrt(-0.5 * math.log(0.5e-3)) * math.sqrt((n + m) / (n * m))
+
+
+class TestSchemes:
+    @pytest.mark.parametrize("imm", [None, ImmigrationMechanism(2.0)],
+                             ids=["feller", "feller_d"])
+    def test_euler_matches_exact(self, imm):
+        # independent runs of both schemes: means within 4 combined SE, KS
+        # below its 1e-3 critical value, at both record times
+        n = 20000
+        runs = [simulate_cbbre_batch(Feller(-0.5, 1.0), 1.0, 1.0, 1.0,
+                                     SimConfig(dt=2e-3, seed=31 + i, scheme=scheme), n,
+                                     record_times=[0.5, 1.0], imm=imm)
+                for i, scheme in enumerate(("auto", EULER))]
+        assert [r.scheme for r in runs] == ["exact", EULER]
+        for j in range(2):
+            a, b = runs[0].z[:, j], runs[1].z[:, j]
+            se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(n)
+            assert abs(a.mean() - b.mean()) <= 4 * se
+            assert ks_2samp(a, b).statistic < _ks_crit(n, n)
+
+    def test_neveu_euler_matches_exact(self):
+        n = 2000
+        runs = [simulate_cbbre_batch(Neveu(), 1.0, 1.0, 0.5,
+                                     SimConfig(dt=1e-3, seed=33 + i, scheme=scheme), n,
+                                     record_times=[0.5])
+                for i, scheme in enumerate(("auto", EULER))]
+        assert [r.scheme for r in runs] == ["exact", EULER]
+        assert ks_2samp(runs[0].z[:, -1], runs[1].z[:, -1]).statistic < _ks_crit(n, n)
+
+    def test_auto_picks_by_law(self):
+        cfg = SimConfig(dt=0.01, seed=1)
+
+        def run(mech, **kw):
+            return simulate_cbbre_batch(mech, 1.0, 1.0, 0.1, cfg, 20, record_times=[0.1],
+                                        **kw).scheme
+
+        assert cfg.scheme == "auto"
+        assert run(Feller(0.2, 1.0)) == run(Neveu()) == "exact"
+        assert run(Feller(0.2, 1.0), imm=ImmigrationMechanism(0.5)) == "exact"
+        assert run(Stable(0.2, 0.5, 1.0)) == EULER
+        assert run(Feller(0.2, 1.0), imm=ImmigrationMechanism(0.0, StableImmigration(0.5, 1.0))) \
+            == EULER
+        noise = np.zeros((20, 10))
+        assert run(Feller(0.2, 1.0), driving=(noise, noise)) == EULER
+
+    def test_environment_does_not_depend_on_the_demography(self):
+        # the demographic variates have their own stream: one seed draws one
+        # environment, with or without immigration and whatever the absorptions
+        cfg = SimConfig(dt=0.01, seed=8)
+        a, b = (simulate_cbbre_batch(Feller(-0.5, 2.0), 1.0, 0.5, 1.0, cfg, 300,
+                                     record_times=[0.3, 1.0], imm=imm)
+                for imm in (None, ImmigrationMechanism(1.5)))
+        assert np.isfinite(a.t0).any() and not np.isfinite(b.t0).any()
+        assert np.array_equal(a.env_values, b.env_values)
+
+    def test_neveu_never_explodes(self):
+        # the exact law has no thinning cap: no path is declared exploded,
+        # and a state above m_expl is a value
+        cfg = SimConfig(dt=1e-3, seed=1, m_expl=10.0)
+        b = simulate_cbbre_batch(Neveu(), 1.0, 1.0, 1.0, cfg, 1000, record_times=[0.5, 1.0])
+        assert np.isnan(b.t_inf).all() and np.isnan(b.t0).all()
+        assert np.isfinite(b.z).all() and (b.z > 10.0).any()
+
+    def test_exact_memory_is_bounded(self):
+        # 20,000 x 1,000 path-steps: the noise matrix alone would be 160 MB
+        tracemalloc.start()
+        try:
+            b = simulate_cbbre_batch(Feller(0.2, 1.0), 1.0, 1.0, 1.0, SimConfig(seed=5),
+                                     20000, record_times=[1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert b.scheme == "exact"
+        assert peak < 16 * 2**20
