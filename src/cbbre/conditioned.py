@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import rng as _rng
 from .environment import (MCEstimate, _default_v_rule, _mc_estimate, mc_log_exp_functionals,
@@ -41,7 +40,7 @@ from .mechanisms import (
     SurvivalRegime,
     classify_regime,
 )
-from .numerics import _gamma_rule, _row_sums, gamma_power_laplace
+from .numerics import _gamma, _gamma_rule, _row_sums, gamma_power_laplace
 
 __all__ = [
     "U",
@@ -113,9 +112,9 @@ def _build_u(env: EnvParams):
 
         return lambda z: pref * -_row_sums(terms, _states(z), weight)
     if reg is SurvivalRegime.INTERMEDIATELY_SUBCRITICAL:
-        c = math.sqrt(2.0 / np.pi) * kk * special.gamma(1.0 / b) / (b * s)
+        c = math.sqrt(2.0 / np.pi) * kk * _gamma(1.0 / b) / (b * s)
         return lambda z: c * np.maximum(np.asarray(z, float), 0.0)
-    c = kk * special.gamma(eta - 1.0 / b) / special.gamma(eta - 2.0 / b)
+    c = kk * _gamma(eta - 1.0 / b) / _gamma(eta - 2.0 / b)
     return lambda z: c * np.maximum(np.asarray(z, float), 0.0)
 
 
@@ -266,13 +265,13 @@ def asympt_conditioned_constant(z: float, env: EnvParams) -> AsymptoticConstant:
     if reg is ConditionedRegime.INTERMEDIATELY_SUPERCRITICAL:
         # E[e^{-zk G^{1/b}} G^{1/b}] over G ~ Gamma(2) = Gamma(1/b+1) * laplace form
         shape = 1.0 / b + 1.0
-        integral = special.gamma(shape) * gamma_power_laplace(z * kk, shape, 1.0 / b)
+        integral = _gamma(shape) * gamma_power_laplace(z * kk, shape, 1.0 / b)
         const = z * kk * math.sqrt(2.0) / (b**2 * s * math.sqrt(np.pi) * ustar) * integral
         return AsymptoticConstant(reg.value, 0.5, 0.5 * b**2 * s**2, const, "gamma-expectation")
     if reg is ConditionedRegime.STRONGLY_SUPERCRITICAL:
         shape = 1.0 / b - eta - 1.0
-        integral = special.gamma(shape) * gamma_power_laplace(z * kk, shape, 1.0 / b)
-        const = -z * kk * (eta + 2.0) / (b * ustar * special.gamma(-eta)) * integral
+        integral = _gamma(shape) * gamma_power_laplace(z * kk, shape, 1.0 / b)
+        const = -z * kk * (eta + 2.0) / (b * ustar * _gamma(-eta)) * integral
         return AsymptoticConstant(reg.value, 0.0, 0.5 * b * (2.0 * env.m - b * s**2), const,
                                   "gamma-expectation")
     raise RegimeError("no conditioned regime for these parameters")

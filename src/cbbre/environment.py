@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from . import rng as _rng
 from .errors import (
@@ -36,7 +35,7 @@ from .errors import (
     ParameterError,
     QuadratureInstabilityError,
 )
-from .numerics import _row_blocks, _row_sums, gl_panels, u_half_diff
+from .numerics import _gammaln, _row_blocks, _row_sums, gl_panels, u_half_diff
 
 __all__ = [
     "MCEstimate",
@@ -335,8 +334,8 @@ def my_density_grid(x, nu: float, eta: float):
     logC = (
         -0.5 * eta * eta * nu
         + np.pi**2 / (2.0 * nu)
-        + special.gammaln(0.5 * (eta + 2.0))
-        + special.gammaln(a)
+        + _gammaln(0.5 * (eta + 2.0))
+        + _gammaln(a)
         - math.log(math.sqrt(2.0) * np.pi**2 * math.sqrt(nu))
     )
     xi, w = _xi_rule(nu)

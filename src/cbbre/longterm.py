@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .environment import (
     MCEstimate,
@@ -41,7 +40,8 @@ from .mechanisms import (
     SurvivalRegime,
     classify_regime,
 )
-from .numerics import _gamma_rule, _peak_shape, _row_sums, gamma_power_laplace, gl_panels, u_half
+from .numerics import (_gamma, _gamma_rule, _gammaln, _peak_shape, _row_sums, gamma_power_laplace,
+                       gl_panels, u_half)
 
 __all__ = [
     "survival_prob",
@@ -221,7 +221,7 @@ def _phi_eta_rule(v, eta: float, width: float):
     wx = wx * xi * np.sinh(xi)
     c2 = np.cosh(xi) ** 2
     out = _row_sums(lambda vv: u_half(a, np.outer(vv, c2)), v, wx)
-    pref = special.gamma(0.5 * (eta + 2.0)) * special.gamma(a) / (math.sqrt(2.0) * np.pi)
+    pref = _gamma(0.5 * (eta + 2.0)) * _gamma(a) / (math.sqrt(2.0) * np.pi)
     return pref * np.exp(-v) * v ** (-a) * out
 
 
@@ -280,7 +280,7 @@ def _critical_rows(q, p: float):
     q = np.asarray(q, float)
     shape, power = _peak_shape(1.0, p, float(q.max(initial=0.0)))
     x, w = _gamma_rule(shape, power)
-    w = w * np.exp(special.gammaln(shape) - shape * np.log(x))
+    w = w * np.exp(_gammaln(shape) - shape * np.log(x))
     g = (lambda u: -np.expm1(u)) if p > 0 else np.exp
     with np.errstate(over="ignore"):  # x**p = inf gives g = 0 or 1
         xp = -x**p
@@ -332,10 +332,10 @@ def asympt_survival_constant(z: float, env: EnvParams) -> AsymptoticConstant:
         )
         return AsymptoticConstant(reg.value, 1.5, env.m**2 / (2.0 * s**2), const, "quadrature")
     if reg is SurvivalRegime.INTERMEDIATELY_SUBCRITICAL:
-        const = z * math.sqrt(2.0 / np.pi) * kk * special.gamma(1.0 / b) / (b * s)
+        const = z * math.sqrt(2.0 / np.pi) * kk * _gamma(1.0 / b) / (b * s)
         return AsymptoticConstant(reg.value, 0.5, s**2 / 2.0, const, "closed-form")
     # strongly subcritical
-    const = z * kk * special.gamma(eta - 1.0 / b) / special.gamma(eta - 2.0 / b)
+    const = z * kk * _gamma(eta - 1.0 / b) / _gamma(eta - 2.0 / b)
     return AsymptoticConstant(reg.value, 0.0, -0.5 * (2.0 * env.m + s**2), const, "closed-form")
 
 

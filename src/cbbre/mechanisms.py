@@ -32,11 +32,10 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as _gamma_fn
 
 from .environment import integral_exp_linear, log_exp_functional
 from .errors import ParameterError, UnsupportedMechanismError
+from .numerics import _gamma, _simpson
 
 __all__ = [
     "Mechanism",
@@ -108,6 +107,26 @@ def _log_positive_stable(index, one_minus_index, rng, n):
     e = rng.standard_exponential(n)
     return (np.log(np.sin(index * u)) - np.log(np.sin(u)) / index
             + one_minus_index / index * (np.log(np.sin(one_minus_index * u)) - np.log(e)))
+
+
+#: Poisson mean above which `_poisson_counts` draws a count from its normal
+#: approximation: numpy's sampler refuses means above ~9.2e18, and here the
+#: approximation's relative error, about mean^(-1/2), is below 3.2e-8
+_POISSON_NORMAL_MEAN = 1e15
+
+
+def _poisson_counts(rng, mean):
+    """Poisson(mean) counts, one per entry of ``mean``.  Entries above
+    `_POISSON_NORMAL_MEAN` take round(mean + sqrt(mean) N), at least 0, with
+    N standard normal drawn for those entries only after the Poisson call, so
+    where no mean exceeds the limit the draws are exactly ``rng.poisson(mean)``."""
+    big = mean > _POISSON_NORMAL_MEAN
+    if not big.any():
+        return rng.poisson(mean)
+    count = rng.poisson(np.where(big, 0.0, mean)).astype(float)
+    mu = mean[big]
+    count[big] = np.maximum(np.rint(mu + np.sqrt(mu) * rng.standard_normal(mu.size)), 0.0)
+    return count
 
 
 def _pareto_sampler(eps: float, index: float):
@@ -285,10 +304,10 @@ class Feller(Mechanism):
         mean = z / (g2 * a)
         if absorbing:
             alive = live & (hit == 0)
-            extra = rng.poisson(np.where(alive, np.maximum(mean - first, 0.0), 0.0))
+            extra = _poisson_counts(rng, np.where(alive, np.maximum(mean - first, 0.0), 0.0))
             count = np.where(alive, 1 + extra, 0)
         else:
-            count = rng.poisson(mean)
+            count = _poisson_counts(rng, mean)
         z_end = rng.gamma(count + d / g2, g2 * a) * np.exp(k_end)
         return z_end, k_end, (hit if absorbing else None)
 
@@ -317,7 +336,7 @@ class Stable(Mechanism):
     @property
     def jump_intensity_const(self) -> float:
         """Coefficient of z^-(2+beta) dz in the jump measure (per unit mass)."""
-        return float(self.c * self.beta * (self.beta + 1.0) / _gamma_fn(1.0 - self.beta))
+        return float(self.c * self.beta * (self.beta + 1.0) / _gamma(1.0 - self.beta))
 
     @property
     def infinite_mean(self) -> bool:
@@ -428,7 +447,7 @@ class TabulatedMeasure:
 
     def phi_path_integral(self, grid, log_u) -> float:
         """int phi(e^{log_u(s)}) ds by composite Simpson on the grid."""
-        return float(integrate.simpson(self.phi(np.exp(log_u)), x=grid))
+        return float(_simpson(self.phi(np.exp(log_u)), grid))
 
     def jump_law(self, eps: float) -> JumpLaw:
         """The immigration jumps of size >= eps (the density, linear in each
@@ -532,7 +551,7 @@ class StableImmigration:
 
     @property
     def intensity_const(self) -> float:
-        return float(self.kappa * self.beta / _gamma_fn(1.0 - self.beta))
+        return float(self.kappa * self.beta / _gamma(1.0 - self.beta))
 
     def phi(self, u):
         """kappa * u^beta, the immigration part of phi (u >= 0)."""

@@ -1,6 +1,6 @@
-"""Quadrature building blocks.
+"""Quadrature building blocks, and the package's only calls into scipy.
 
-Four things live here because several modules need them:
+Five things live here because several modules need them:
 
 * composite Gauss-Legendre panel rules (`gl_panels`),
 * the row blocks of every row sweep (`_row_blocks`), whose temporaries hold
@@ -16,7 +16,13 @@ Four things live here because several modules need them:
   zero as one node; `gamma_power_expectation` and the Laplace transform
   ``E[exp(-theta * G^power)]`` (`gamma_power_laplace`) are weighted sums on
   it (placed by `_peak_shape` for negative powers), and so are the
-  vectorized callers in other modules.
+  vectorized callers in other modules,
+* the scipy functions the package calls: Gamma and ln Gamma (`_gamma`,
+  `_gammaln`), composite Simpson (`_simpson`) and the ``hyperu`` fallback
+  of `u_half`.  Each imports its scipy submodule when it is first called,
+  so ``import cbbre`` loads numpy only: ``scipy.special`` loads on the
+  first Gamma or U-kernel call and ``scipy.integrate`` only for a
+  tabulated immigration measure.
 
 The confluent kernel has three zones in w: the Kummer connection series
 for small ``w``, a piecewise Chebyshev fit of log U in log w (built once per
@@ -31,7 +37,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "gl_panels",
@@ -43,6 +48,37 @@ __all__ = [
 ]
 
 SQRT_PI = np.sqrt(np.pi)
+
+# ---------------------------------------------------------------------------
+# scipy, imported on first use
+# ---------------------------------------------------------------------------
+
+
+def _gamma(x):
+    """Gamma(x), by scipy.special (imported on first use)."""
+    from scipy import special
+
+    return special.gamma(x)
+
+
+def _gammaln(x):
+    """ln |Gamma(x)|, by scipy.special (imported on first use)."""
+    from scipy import special
+
+    return special.gammaln(x)
+
+
+def _simpson(y, x):
+    """Composite Simpson of the samples y at the points x, by scipy.integrate
+    (imported on first use)."""
+    from scipy import integrate
+
+    return integrate.simpson(y, x=x)
+
+
+# ---------------------------------------------------------------------------
+# Panel rules and row sweeps
+# ---------------------------------------------------------------------------
 
 _LEG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -117,8 +153,8 @@ class _Kernel:
     def __init__(self, a: float):
         self.a = a
         k = np.arange(1, _N_TERMS + 1)
-        self.u0 = SQRT_PI / special.gamma(a + 0.5)
-        self.u1 = 2.0 * SQRT_PI / special.gamma(a)
+        self.u0 = SQRT_PI / _gamma(a + 0.5)
+        self.u1 = 2.0 * SQRT_PI / _gamma(a)
         # Kummer connection formula (DLMF 13.2.42) at b = 1/2:
         #   U - u0 = u0 sum_k c1_k w^k - u1 sqrt(w) (1 + sum_k c2_k w^k),
         # and |U - u0| >= u1 sqrt(w)/3 for w < _SERIES_MAX_W, a <= 4, so
@@ -208,7 +244,7 @@ def _u_quad_logt(a, w):
     t = np.exp(u)
     base = a * u - np.log1p(t) * (a + 0.5)
     E = np.exp(base[None, :] - np.outer(np.asarray(w, float), t))
-    return (E @ uw + np.exp(a * lo) / a) / special.gamma(a)
+    return (E @ uw + np.exp(a * lo) / a) / _gamma(a)
 
 
 def _kernel(a: float) -> _Kernel:
@@ -235,6 +271,8 @@ def u_half(a: float, w):
     """
     w = np.asarray(w, float)
     if not has_fast_kernel(a):
+        from scipy import special
+
         return special.hyperu(a, 0.5, w)
     k = _kernel(a)
     out = np.empty_like(w)
@@ -287,12 +325,12 @@ def _gamma_rule(shape: float, power: float = 1.0):
     t = -700) to x = 60 + 12 shape; that mass is one more node, so nothing
     near zero is lost.  f of x^power with |power| > 2 gets more panels.
     """
-    lg = special.gammaln(shape + 1.0)
+    lg = _gammaln(shape + 1.0)
     t_lo = max((math.log(_GAMMA_MASS_EPS) + lg) / shape, _GAMMA_T_MIN)
     t_hi = math.log(60.0 + 12.0 * shape)
     n = math.ceil(_GAMMA_PANELS * max(1.0, 0.5 * abs(power)) * (t_hi - t_lo))
     t, w = gl_panels(np.linspace(t_lo, t_hi, n + 1), 12)
-    w *= np.exp(shape * t - np.exp(t) - special.gammaln(shape))
+    w *= np.exp(shape * t - np.exp(t) - _gammaln(shape))
     x = np.concatenate([[math.exp(t_lo)], np.exp(t)])
     w = np.concatenate([[math.exp(shape * t_lo - lg)], w])
     x.flags.writeable = w.flags.writeable = False
@@ -340,7 +378,7 @@ def gamma_power_laplace(theta: float, shape: float, power: float):
     if shape <= 0:
         raise ValueError("Gamma shape must be positive")
     s, p = _peak_shape(shape, power, theta)
-    lead = special.gammaln(s) - special.gammaln(shape)  # 0 when s = shape
+    lead = _gammaln(s) - _gammaln(shape)  # 0 when s = shape
     return gamma_power_expectation(
         lambda x: np.exp(lead + (shape - s) * np.log(x) - theta * x**power), s, p)
 
@@ -352,9 +390,9 @@ def gamma_power_series(theta: float, shape: float, power: float, n_terms: int = 
     smallest term so callers can judge how asymptotic the truncation is.
     """
     terms = []
-    logg0 = special.gammaln(shape)
+    logg0 = _gammaln(shape)
     for n in range(n_terms):
-        lg = special.gammaln(n * power + shape) - logg0 - special.gammaln(n + 1)
+        lg = _gammaln(n * power + shape) - logg0 - _gammaln(n + 1)
         terms.append(((-theta) ** n) * np.exp(lg))
     terms = np.array(terms)
     k_min = int(np.argmin(np.abs(terms)[1:]) + 1) if n_terms > 1 else 0

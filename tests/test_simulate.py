@@ -18,6 +18,7 @@ from cbbre.mechanisms import (
     Stable,
     StableImmigration,
     TabulatedMeasure,
+    _poisson_counts,
 )
 from cbbre.numerics import _row_blocks
 from cbbre.simulate import (
@@ -521,6 +522,29 @@ class TestSchemes:
         b = simulate_cbbre_batch(Neveu(), 1.0, 1.0, 1.0, cfg, 1000, record_times=[0.5, 1.0])
         assert np.isnan(b.t_inf).all() and np.isnan(b.t0).all()
         assert np.isfinite(b.z).all() and (b.z > 10.0).any()
+
+    def test_feller_means_beyond_numpy_poisson(self):
+        # supercritical paths reach Poisson means past numpy's limit (~9.2e18)
+        # by T = 30; the counts above 1e15 come from the normal approximation
+        for imm in (None, ImmigrationMechanism(0.5)):  # both Poisson draws
+            b = simulate_cbbre_batch(Feller(2.0, 1.0), 0.1, 1.0, 30.0,
+                                     SimConfig(dt=1e-2, seed=1), 200,
+                                     record_times=list(range(1, 31)), imm=imm)
+            assert b.scheme == "exact" and np.isfinite(b.z).all()
+            assert b.z[:, -1].max() > 1e15
+
+    def test_normal_counts_match_poisson_moments(self):
+        mu, n = 1e16, 100_000
+        dev = _poisson_counts(np.random.default_rng(3), np.full(n, mu)) - mu
+        assert abs(dev.mean()) <= 4.0 * math.sqrt(mu / n)
+        assert abs(dev.var(ddof=1) - mu) <= 4.0 * mu * math.sqrt(2.0 / (n - 1))
+
+    def test_counts_below_the_limit_are_numpy_poisson(self):
+        # no mean above the limit: the same draws as rng.poisson, none extra
+        mean = np.array([0.0, 3.0, 1e9, 1e15])
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        assert np.array_equal(_poisson_counts(a, mean), b.poisson(mean))
+        assert a.random() == b.random()
 
     def test_exact_memory_is_bounded(self):
         # 20,000 x 1,000 path-steps: the noise matrix alone would be 160 MB
