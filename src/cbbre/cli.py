@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import EXPERIMENT_KINDS, ExperimentConfig, load_config, mechanism_to_dict
+from .config import EXPERIMENT_KINDS, ExperimentConfig, load_config
 from .environment import MCEstimate, sample_env_path
 from .errors import CBBREError, ConfigError, MethodError, UnsupportedMechanismError
 from .mechanisms import (EnvParams, Feller, ImmigrationMechanism, Neveu, Stable,
@@ -407,7 +407,7 @@ def run(cfg: ExperimentConfig) -> int:
     ok, summary, _rows = _RUNNERS[cfg.kind](cfg, out)
     doc = {
         "experiment": cfg.kind,
-        "mechanism": mechanism_to_dict(cfg.mechanism),
+        "mechanism": cfg.mechanism.to_dict(),
         "sigma": cfg.sigma,
         "seed": cfg.seed,
         "numerics": cfg.numerics,

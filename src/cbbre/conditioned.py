@@ -3,9 +3,12 @@
 For m <= 0 the process conditioned to survive forever (Q-process) is the
 Doob h-transform with martingale D_t = e^{theta t} U(Z_t), where U is the
 regime-dependent survival constant viewed as a function of the initial mass
-and theta the matching exponential rate.  For m > 0 the process conditioned
-on eventual extinction is the h-transform with the bounded martingale
-U_*(Z_t), U_* being the exact extinction probability.
+and theta the matching exponential rate; both are read from the regime
+table of ``longterm``, which also gives the survival constants.  For m > 0
+the process conditioned on eventual extinction is the h-transform with the
+bounded martingale U_*(Z_t), U_* being the exact extinction probability,
+the table's Gamma limit E[exp(-z k Gamma_{-eta}^{1/beta})] (exactly 1 at
+z = 0).
 
 All series appearing in the constants are evaluated through their
 Gamma-expectation integral forms; reweighting of simulated paths is the
@@ -26,8 +29,9 @@ from .environment import (MCEstimate, _default_v_rule, _mc_estimate, mc_log_exp_
 from .errors import ParameterError, RegimeError
 from .longterm import (
     AsymptoticConstant,
-    _critical_rows,
+    _gamma_limit,
     _phi_weights,
+    _regime_table,
     extinction_prob_exact_stable,
 )
 from .mechanisms import (
@@ -37,7 +41,6 @@ from .mechanisms import (
     ImmigrationMechanism,
     Mechanism,
     StableImmigration,
-    SurvivalRegime,
     classify_regime,
 )
 from .numerics import _gamma, _gamma_rule, _row_sums, gamma_power_laplace
@@ -70,52 +73,12 @@ def _require_subcritical(env: EnvParams):
         raise RegimeError("U and theta require m <= 0 (condition on non-extinction)")
 
 
-_U_CACHE: dict = {}
-
-
 def U_vectorized(env: EnvParams):
-    """The h-transform weight U as a vectorized callable of the state.
-
-    Callables are cached per parameter set; the critical and weakly
-    subcritical branches precompute their quadrature nodes once.
-    """
+    """The h-transform weight U as a vectorized callable of the state: the
+    survival constant's function of z from the regime table of `longterm`
+    (cached per parameter set)."""
     _require_subcritical(env)
-    key = (env.sigma, env.alpha, env.beta, env.c)
-    if key in _U_CACHE:
-        return _U_CACHE[key]
-    fn = _build_u(env)
-    _U_CACHE[key] = fn
-    return fn
-
-
-def _states(z):
-    # the states as one row of points, negative ones clipped to 0
-    return np.maximum(np.asarray(z, float), 0.0).ravel()
-
-
-def _build_u(env: EnvParams):
-    reg = classify_regime(env).survival
-    b, s, kk, eta = env.beta, env.sigma, env.k, env.eta
-    if reg is SurvivalRegime.CRITICAL:
-        pref = math.sqrt(2.0 / np.pi) / (b * s)  # times the critical survival constant
-        return lambda z: pref * _critical_rows(_states(z) * kk, 1.0 / b)
-    if reg is SurvivalRegime.WEAKLY_SUBCRITICAL:
-        v, weight = _phi_weights(eta)
-        pref = 8.0 / (b**3 * s**3)
-
-        def terms(zz):  # e^{-k (z^b v)^{1/b}} - 1
-            arg = np.outer(zz**b, v)
-            if b != 1.0:  # x**1.0 is x: skip the pass
-                arg **= 1.0 / b
-            arg *= kk
-            return np.expm1(np.negative(arg, out=arg), out=arg)
-
-        return lambda z: pref * -_row_sums(terms, _states(z), weight)
-    if reg is SurvivalRegime.INTERMEDIATELY_SUBCRITICAL:
-        c = math.sqrt(2.0 / np.pi) * kk * _gamma(1.0 / b) / (b * s)
-        return lambda z: c * np.maximum(np.asarray(z, float), 0.0)
-    c = kk * _gamma(eta - 1.0 / b) / _gamma(eta - 2.0 / b)
-    return lambda z: c * np.maximum(np.asarray(z, float), 0.0)
+    return _regime_table(env).fn
 
 
 def U(z: float, env: EnvParams) -> float:
@@ -126,15 +89,10 @@ def U(z: float, env: EnvParams) -> float:
 
 
 def theta(env: EnvParams) -> float:
-    """Exponential rate of the Q-process martingale e^{theta t} U(Z_t)."""
+    """Exponential rate of the Q-process martingale e^{theta t} U(Z_t): the
+    survival constant's rate_exp."""
     _require_subcritical(env)
-    reg = classify_regime(env).survival
-    if reg is SurvivalRegime.CRITICAL:
-        return 0.0
-    if reg is SurvivalRegime.WEAKLY_SUBCRITICAL:
-        return env.m**2 / (2.0 * env.sigma**2)
-    # intermediate and strong share the branch -(2m + sigma^2)/2
-    return -0.5 * (2.0 * env.m + env.sigma**2)
+    return _regime_table(env).rate_exp
 
 
 def qprocess_weights(z_values, t: float, z0: float, env: EnvParams):
@@ -171,11 +129,9 @@ def U_star(z: float, env: EnvParams) -> float:
 
 
 def U_star_vectorized(env: EnvParams):
-    """Vectorized U_* on a fixed Gamma quadrature (for path reweighting)."""
+    """Vectorized U_* (for path reweighting); exactly 1 at z = 0."""
     _require_supercritical(env)
-    x, weight = _gamma_rule(-env.eta, 1.0 / env.beta)
-    pow_x = x ** (1.0 / env.beta)
-    return lambda z: _row_sums(lambda zz: np.exp(-env.k * np.outer(zz, pow_x)), _states(z), weight)
+    return _gamma_limit(env)
 
 
 def h_fn(x, y, k: float, beta: float):

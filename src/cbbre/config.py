@@ -32,8 +32,7 @@ from .mechanisms import (
     TabulatedMeasure,
 )
 
-__all__ = ["ExperimentConfig", "load_config", "mechanism_from_dict",
-           "mechanism_to_dict", "immigration_from_dict"]
+__all__ = ["ExperimentConfig", "load_config", "mechanism_from_dict", "immigration_from_dict"]
 
 EXPERIMENT_KINDS = ("simulate", "survival", "explosion", "asymptotics",
                     "qprocess", "conditioned", "immigration", "verify")
@@ -64,10 +63,6 @@ def mechanism_from_dict(d: dict) -> Mechanism:
 def _tabulated(d: dict, x_key: str, density_key: str) -> TabulatedMeasure:
     return TabulatedMeasure(np.asarray(d[x_key], float), np.asarray(d[density_key], float),
                             float(d.get("tail_mass", 0.0)), float(d.get("tail_location", 0.0)))
-
-
-def mechanism_to_dict(mech: Mechanism) -> dict:
-    return mech.to_dict()
 
 
 def immigration_from_dict(d: dict | None) -> ImmigrationMechanism | None:

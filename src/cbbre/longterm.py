@@ -12,7 +12,9 @@ which is first-order unbiased for the Brownian functional; the exact-linear
 segment rule of the closed forms would be biased low by O(dt).  Limits as
 t -> infinity become Gamma expectations through Dufresne's identity, which
 is also how the five survival regimes and three explosion regimes get their
-constants.
+constants.  All eight come from one cached table, `_regime_table`, whose
+function of z is also the Q-process weight U of ``conditioned`` and whose
+Gamma limit (`_gamma_limit`) is the extinction probability U_*.
 
 Series forms of the regime constants are formal for beta < 1 (the terms grow
 factorially); the canonical numerical object is always the Gamma-expectation
@@ -20,7 +22,9 @@ or integral form, and truncated series are exposed only as diagnostics.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +44,7 @@ from .mechanisms import (
     SurvivalRegime,
     classify_regime,
 )
-from .numerics import (_gamma, _gamma_rule, _gammaln, _peak_shape, _row_sums, gamma_power_laplace,
+from .numerics import (_gamma, _gamma_laplace_rows, _gamma_rule, _gammaln, _peak_shape, _row_sums,
                        gl_panels, u_half)
 
 __all__ = [
@@ -161,7 +165,7 @@ def extinction_prob_exact_stable(z: float, env: EnvParams) -> float:
         raise ParameterError("z must be nonnegative")
     if env.m <= 0:
         return 1.0
-    return gamma_power_laplace(z * env.k, -env.eta, 1.0 / env.beta)
+    return float(_gamma_limit(env)(np.array([z]))[0])
 
 
 @dataclass(frozen=True)
@@ -263,12 +267,6 @@ def _phi_weights(eta: float):
     return v, w * phi_eta_grid(v, eta)
 
 
-def _phi_functional(func, eta: float) -> float:
-    """int func(v) phi_eta(v) dv."""
-    v, w = _phi_weights(eta)
-    return float(np.sum(w * func(v)))
-
-
 def _critical_rows(q, p: float):
     """int_0^inf g(q x^p) e^{-x} dx/x for each q of an array, g(u) = 1 - e^{-u}
     for p > 0 (critical survival) and e^{-u} for p < 0 (critical explosion).
@@ -312,31 +310,84 @@ class AsymptoticConstant:
         return t**self.rate_power * math.exp(self.rate_exp * t)
 
 
+@dataclass(frozen=True)
+class _RegimeRow:
+    """A regime's rates, and its constant as a vectorized function of z."""
+
+    regime: str
+    rate_power: float
+    rate_exp: float
+    method: str
+    fn: Callable
+
+    def at(self, z: float) -> AsymptoticConstant:
+        return AsymptoticConstant(self.regime, self.rate_power, self.rate_exp,
+                                  float(self.fn(np.array([z]))[0]), self.method)
+
+
+def _states(z):
+    # the states as one row of points, negative ones clipped to 0
+    return np.maximum(np.asarray(z, float), 0.0).ravel()
+
+
+def _gamma_limit(env: EnvParams):
+    """z -> E[exp(-z k G^(1/beta))], G ~ Gamma(-eta), exactly 1 at z = 0: U_*
+    for beta > 0 and m > 0, the limit of P_z(Z_t < inf) for beta < 0, m < 0."""
+    return lambda z: _gamma_laplace_rows(_states(z) * env.k, -env.eta, 1.0 / env.beta)
+
+
+@functools.lru_cache(maxsize=64)
+def _regime_table(env: EnvParams) -> _RegimeRow:
+    """The survival (beta > 0) or explosion (beta < 0) regime of env.
+
+    An explosion constant is the survival formula with g(u) = e^{-u} in
+    place of 1 - e^{-u} (g follows the sign of beta) and |beta| in the
+    prefactor, so five branches serve the eight regimes: the Gamma limit L
+    (supercritical survival 1 - L, subcritical explosion L), `_critical_rows`
+    (both critical regimes), the phi_eta rule (weakly subcritical survival,
+    supercritical explosion) and the two linear closed forms, whose rate
+    -(2m + sigma^2)/2 keeps e^{rate t} c Z_t a martingale inside EPS_REGIME.
+    """
+    regime = classify_regime(env)
+    reg = regime.survival or regime.explosion
+    b, s, kk, eta, m = env.beta, env.sigma, env.k, env.eta, env.m
+    if reg in (SurvivalRegime.SUPERCRITICAL, ExplosionRegime.SUBCRITICAL_EXPLOSION):
+        lim = _gamma_limit(env)
+        fn = (lambda z: 1.0 - lim(z)) if b > 0 else lim
+        return _RegimeRow(reg.value, 0.0, 0.0, "gamma-expectation", fn)
+    if reg in (SurvivalRegime.CRITICAL, ExplosionRegime.CRITICAL_EXPLOSION):
+        pref = math.sqrt(2.0 / np.pi) / (abs(b) * s)
+        return _RegimeRow(reg.value, 0.5, 0.0, "quadrature",
+                          lambda z: pref * _critical_rows(_states(z) * kk, 1.0 / b))
+    if reg in (SurvivalRegime.WEAKLY_SUBCRITICAL, ExplosionRegime.SUPERCRITICAL_EXPLOSION):
+        v, weight = _phi_weights(eta)
+        pref = 8.0 / (abs(b)**3 * s**3)
+        sign, g = (-1.0, np.expm1) if b > 0 else (1.0, np.exp)  # 1 - e^{-u} = -expm1(-u)
+
+        def terms(zz):  # expm1 or exp of -k (z^b v)^{1/b}
+            arg = np.outer(zz**b, v)
+            if b != 1.0:  # x**1.0 is x: skip the pass
+                arg **= 1.0 / b
+            arg *= kk
+            return g(np.negative(arg, out=arg), out=arg)
+
+        return _RegimeRow(reg.value, 1.5, m**2 / (2.0 * s**2), "quadrature",
+                          lambda z: pref * (sign * _row_sums(terms, _states(z), weight)))
+    if reg is SurvivalRegime.INTERMEDIATELY_SUBCRITICAL:
+        c, rate_power = math.sqrt(2.0 / np.pi) * kk * _gamma(1.0 / b) / (b * s), 0.5
+    else:  # strongly subcritical
+        c, rate_power = kk * _gamma(eta - 1.0 / b) / _gamma(eta - 2.0 / b), 0.0
+    return _RegimeRow(reg.value, rate_power, -0.5 * (2.0 * m + s**2), "closed-form",
+                      lambda z: c * _states(z))
+
+
 def asympt_survival_constant(z: float, env: EnvParams) -> AsymptoticConstant:
     """The five survival regimes of the stable CBBRE (beta in (0,1])."""
     if env.beta <= 0:
         raise ParameterError("survival asymptotics require beta in (0,1]")
     if z <= 0:
         raise ParameterError("z must be positive")
-    reg = classify_regime(env).survival
-    b, s, kk, eta = env.beta, env.sigma, env.k, env.eta
-    if reg is SurvivalRegime.SUPERCRITICAL:
-        const = 1.0 - gamma_power_laplace(z * kk, -eta, 1.0 / b)
-        return AsymptoticConstant(reg.value, 0.0, 0.0, const, "gamma-expectation")
-    if reg is SurvivalRegime.CRITICAL:
-        const = math.sqrt(2.0 / np.pi) / (b * s) * critical_constant_integral(z * kk, b)
-        return AsymptoticConstant(reg.value, 0.5, 0.0, const, "quadrature")
-    if reg is SurvivalRegime.WEAKLY_SUBCRITICAL:
-        const = 8.0 / (b**3 * s**3) * _phi_functional(
-            lambda v: -np.expm1(-kk * (z**b * v) ** (1.0 / b)), eta
-        )
-        return AsymptoticConstant(reg.value, 1.5, env.m**2 / (2.0 * s**2), const, "quadrature")
-    if reg is SurvivalRegime.INTERMEDIATELY_SUBCRITICAL:
-        const = z * math.sqrt(2.0 / np.pi) * kk * _gamma(1.0 / b) / (b * s)
-        return AsymptoticConstant(reg.value, 0.5, s**2 / 2.0, const, "closed-form")
-    # strongly subcritical
-    const = z * kk * _gamma(eta - 1.0 / b) / _gamma(eta - 2.0 / b)
-    return AsymptoticConstant(reg.value, 0.0, -0.5 * (2.0 * env.m + s**2), const, "closed-form")
+    return _regime_table(env).at(z)
 
 
 def asympt_explosion_constant(z: float, env: EnvParams) -> AsymptoticConstant:
@@ -349,19 +400,7 @@ def asympt_explosion_constant(z: float, env: EnvParams) -> AsymptoticConstant:
         raise ParameterError("explosion asymptotics require beta in (-1,0)")
     if z <= 0:
         raise ParameterError("z must be positive")
-    reg = classify_regime(env).explosion
-    b, s, kk, eta = env.beta, env.sigma, env.k, env.eta
-    if reg is ExplosionRegime.SUBCRITICAL_EXPLOSION:
-        const = gamma_power_laplace(z * kk, -eta, 1.0 / b)
-        return AsymptoticConstant(reg.value, 0.0, 0.0, const, "gamma-expectation")
-    if reg is ExplosionRegime.CRITICAL_EXPLOSION:
-        const = -math.sqrt(2.0 / np.pi) / (b * s) * float(_critical_rows([z * kk], 1.0 / b)[0])
-        return AsymptoticConstant(reg.value, 0.5, 0.0, const, "quadrature")
-    # supercritical-explosion
-    const = -8.0 / (b**3 * s**3) * _phi_functional(
-        lambda v: np.exp(-kk * (z**b * v) ** (1.0 / b)), eta
-    )
-    return AsymptoticConstant(reg.value, 1.5, env.m**2 / (2.0 * s**2), const, "quadrature")
+    return _regime_table(env).at(z)
 
 
 def survival_scaled_trend(z: float, env: EnvParams, ts) -> list[dict]:

@@ -49,9 +49,6 @@ __all__ = [
     "eval_psi",
     "eval_psi0",
     "eval_capital_phi",
-    "psi_prime_at_zero",
-    "psi_largest_root",
-    "is_infinite_mean",
     "EnvParams",
     "derive_env",
     "SurvivalRegime",
@@ -155,7 +152,9 @@ class Mechanism:
         return -self.alpha
 
     def largest_root(self) -> float:
-        """Largest root of psi on [0, infinity)."""
+        """Largest root of psi on [0, infinity): the classical extinction
+        exponent of the zero-environment process, unrelated to the
+        environment quantity ``EnvParams.eta``."""
         raise UnsupportedMechanismError("largest root exposed for Feller/stable (beta>0) only")
 
     def sde_coefficients(self):
@@ -594,11 +593,6 @@ class ImmigrationMechanism:
         return out if np.ndim(out) else float(out)
 
 
-def is_infinite_mean(mech: Mechanism) -> bool:
-    """True when psi'(0+) = -infinity (Neveu, or stable with beta < 0)."""
-    return mech.infinite_mean
-
-
 def eval_psi(mech: Mechanism, u):
     """Evaluate the branching mechanism psi(u), u >= 0 (vectorized)."""
     u = np.asarray(u, float)
@@ -606,11 +600,6 @@ def eval_psi(mech: Mechanism, u):
         raise ParameterError("psi is defined on u >= 0 only")
     out = mech._psi(u)
     return out if out.ndim else float(out)
-
-
-def psi_prime_at_zero(mech: Mechanism) -> float:
-    """psi'(0+).  Raises for infinite-mean mechanisms."""
-    return mech.psi_prime_at_zero()
 
 
 def eval_psi0(mech: Mechanism, u):
@@ -632,15 +621,6 @@ def eval_capital_phi(mech: Mechanism, u):
     pos = np.where(u > 0, u, 1.0)
     out = np.where(u > 0, np.asarray(eval_psi0(mech, pos)) / pos, 0.0)
     return out if out.ndim else float(out)
-
-
-def psi_largest_root(mech: Mechanism) -> float:
-    """Largest root of psi on [0, infinity) for Feller / stable (beta > 0).
-
-    This is the classical extinction exponent of the zero-environment
-    process; it is unrelated to the environment quantity ``EnvParams.eta``.
-    """
-    return mech.largest_root()
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ Five things live here because several modules need them:
   phi_eta both reduce to it with a = (eta+1)/2,
 * one cached rule for every Gamma expectation ``E[f(G)]``, ``G ~ Gamma(shape)``
   (`_gamma_rule`): Gauss-Legendre panels in log x that keep the mass near
-  zero as one node; `gamma_power_expectation` and the Laplace transform
-  ``E[exp(-theta * G^power)]`` (`gamma_power_laplace`) are weighted sums on
-  it (placed by `_peak_shape` for negative powers), and so are the
-  vectorized callers in other modules,
+  zero as one node; `gamma_power_expectation` is a weighted sum on it, and
+  so is the Laplace transform ``E[exp(-q * G^power)]`` for an array of q
+  (`_gamma_laplace_rows`, placed by `_peak_shape` at the largest q for
+  negative powers, exactly 1 at q = 0), whose one-point case is
+  `gamma_power_laplace`; the row sweeps of other modules sum on it too,
 * the scipy functions the package calls: Gamma and ln Gamma (`_gamma`,
   `_gammaln`), composite Simpson (`_simpson`) and the ``hyperu`` fallback
   of `u_half`.  Each imports its scipy submodule when it is first called,
@@ -363,24 +364,40 @@ def _peak_shape(shape: float, power: float, theta: float):
     return max(shape, 0.25 * peak), max(-power, 2.0 * math.sqrt((1.0 - power) * peak))
 
 
+def _gamma_laplace_rows(q, shape: float, power: float):
+    """E[exp(-q_i G**power)] for each q_i >= 0 of an array, G ~ Gamma(shape).
+
+    One rule serves every row: `_peak_shape` places it at the largest q,
+    and the reweighting G^(shape-s') stays inside the exponent, so no
+    factor overflows at the smallest nodes.  Rows with q_i = 0 are exactly 1.
+    """
+    q = np.asarray(q, float)
+    out = np.ones(q.shape)
+    pos = q > 0
+    if not pos.any():
+        return out
+    if shape <= 0:
+        raise ValueError("Gamma shape must be positive")
+    s, p = _peak_shape(shape, power, float(q.max()))
+    x, w = _gamma_rule(s, p)
+    lead = _gammaln(s) - _gammaln(shape) + (shape - s) * np.log(x)  # 0 when s = shape
+    with np.errstate(over="ignore"):  # G^p = inf at the smallest nodes when p < 0
+        xp = x**power
+    out[pos] = _row_sums(lambda qq: np.exp(lead - np.outer(qq, xp)), q[pos], w)
+    return out
+
+
 def gamma_power_laplace(theta: float, shape: float, power: float):
     """E[exp(-theta * G**power)] for G ~ Gamma(shape, rate 1).
 
     This is the canonical numerical object behind the formal series
     sum_n (-theta)^n Gamma(n*power + shape)/(n! Gamma(shape)); the series
     itself diverges whenever |power| > 1 and is offered separately as a
-    diagnostic only.  The rule sits at the integrand's peak (`_peak_shape`).
+    diagnostic only.  It is the one-point case of `_gamma_laplace_rows`.
     """
     if theta < 0:
         raise ValueError("theta must be nonnegative")
-    if theta == 0:
-        return 1.0
-    if shape <= 0:
-        raise ValueError("Gamma shape must be positive")
-    s, p = _peak_shape(shape, power, theta)
-    lead = _gammaln(s) - _gammaln(shape)  # 0 when s = shape
-    return gamma_power_expectation(
-        lambda x: np.exp(lead + (shape - s) * np.log(x) - theta * x**power), s, p)
+    return float(_gamma_laplace_rows(np.array([theta]), shape, power)[0])
 
 
 def gamma_power_series(theta: float, shape: float, power: float, n_terms: int = 20):

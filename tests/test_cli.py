@@ -4,7 +4,7 @@ import json
 import pytest
 
 from cbbre.cli import _MINIMAL_VERIFY, main
-from cbbre.config import load_config, mechanism_from_dict, mechanism_to_dict
+from cbbre.config import load_config, mechanism_from_dict
 from cbbre.errors import ConfigError
 from cbbre.mechanisms import Feller, Neveu, Stable
 
@@ -26,7 +26,7 @@ def write_cfg(tmp_path, doc, name="cfg.json"):
 class TestConfig:
     def test_mechanism_round_trip(self):
         for mech in (Neveu(), Feller(0.2, 1.0), Stable(0.1, -0.5, -2.0)):
-            assert mechanism_from_dict(mechanism_to_dict(mech)) == mech
+            assert mechanism_from_dict(mech.to_dict()) == mech
 
     def test_missing_block(self):
         doc = dict(BASE)

@@ -112,11 +112,22 @@ class TestQprocessWeights:
 
 class TestUStar:
     def test_one_at_zero(self):
-        assert U_star(0.0, derive_env(1.0, 1.5, 1.0, 1.0)) == 1.0
+        # absorbed paths carry U_*(0) = 1 on the vectorized route too
+        env = derive_env(1.0, 1.5, 1.0, 1.0)
+        assert U_star(0.0, env) == 1.0
+        assert U_star_vectorized(env)(np.array([0.0]))[0] == 1.0
 
     def test_feller_closed_form(self):
         env = derive_env(1.0, 1.5, 1.0, 1.0)
         assert U_star(2.0, env) == pytest.approx(0.25, abs=1e-12)
+
+    def test_vectorized_matches_closed_form(self):
+        # beta = 1: U_*(z) = E[exp(-z k G)] = (1 + z k)^eta, G ~ Gamma(-eta)
+        for m in (1.0, 0.05, 0.15, 0.25):  # Gamma shapes 2, 0.1, 0.3, 0.5
+            env = derive_env(1.0, m + 0.5, 1.0, 1.0)
+            z = np.array([0.0, 0.5, 2.0, 7.0])
+            np.testing.assert_allclose(U_star_vectorized(env)(z), (1.0 + z * env.k) ** env.eta,
+                                       rtol=1e-14)
 
     def test_identity_with_extinction_on_grid(self):
         for m, z in [(0.5, 0.5), (1.0, 2.0), (2.0, 1.0)]:

@@ -20,7 +20,7 @@ from cbbre.longterm import (
     survival_scaled_trend,
 )
 from cbbre.mechanisms import derive_env
-from cbbre.numerics import u_half
+from cbbre.numerics import gl_panels, u_half
 
 
 class TestSurvivalProb:
@@ -180,6 +180,24 @@ class TestPhiEta:
             assert asympt_survival_constant(z, env).constant == pytest.approx(ref, rel=1e-10)
             assert U(z, env) == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("beta, alpha, c", [(0.5, -0.3, 1.0), (-0.5, 1.0, -1.0)])
+    def test_shared_branch_matches_phi_eta_integral(self, beta, alpha, c):
+        # weakly subcritical survival (m = -0.8, eta = 3.2) and supercritical
+        # explosion (m = 0.5, eta = 2) share one branch: 8/(|beta|^3 sigma^3)
+        # int g(k (z^beta v)^(1/beta)) phi_eta(v) dv with g(u) = 1 - e^{-u}
+        # for beta > 0 and e^{-u} for beta < 0, here on Gauss-Legendre panels
+        # in log v from 1e-40 to 200
+        env = derive_env(1.0, alpha, beta, c)
+        t, wt = gl_panels(np.linspace(math.log(1e-40), math.log(200.0), 121), 20)
+        v = np.exp(t)
+        w = wt * v * phi_eta_grid(v, env.eta)
+        const = asympt_survival_constant if beta > 0 else asympt_explosion_constant
+        for z in (0.5, 2.0):
+            u = env.k * (z**beta * v) ** (1.0 / beta)
+            g = -np.expm1(-u) if beta > 0 else np.exp(-u)
+            ref = 8.0 / (abs(beta) ** 3 * env.sigma**3) * np.sum(w * g)
+            assert const(z, env).constant == pytest.approx(ref, rel=1e-8)
+
     def test_positive(self):
         assert phi_eta(1.0, 1.0) > 0
 
@@ -191,8 +209,6 @@ class TestPhiEta:
     def test_tensor_matches_confluent_reduction(self):
         # independent evaluation: the u-integral reduced to the confluent
         # kernel, leaving a single smooth xi-integral
-        from cbbre.numerics import gl_panels
-
         for v, eta in [(0.5, 1.0), (1.0, 1.5), (2.0, 0.7)]:
             a = 0.5 * (eta + 1.0)
             pref = (special.gamma(0.5 * (eta + 2.0)) * special.gamma(a)

@@ -20,9 +20,6 @@ from cbbre.mechanisms import (
     eval_capital_phi,
     eval_psi,
     eval_psi0,
-    is_infinite_mean,
-    psi_largest_root,
-    psi_prime_at_zero,
 )
 
 
@@ -38,7 +35,7 @@ class TestEvalPsi:
 
     def test_feller_largest_root_is_zero_of_psi(self):
         mech = Feller(0.7, 2.0)
-        root = psi_largest_root(mech)
+        root = mech.largest_root()
         assert root == pytest.approx(0.35)
         assert eval_psi(mech, root) == pytest.approx(0.0, abs=1e-14)
 
@@ -80,7 +77,7 @@ class TestPsi0:
         mech = GeneralCB(0.0, 0.4, 0.8, mu)
         u = np.linspace(0.1, 4.0, 9)
         lhs = eval_psi0(mech, u)
-        rhs = eval_psi(mech, u) - psi_prime_at_zero(mech) * u
+        rhs = eval_psi(mech, u) - mech.psi_prime_at_zero() * u
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -116,10 +113,10 @@ class TestStableFellerEmbedding:
         )
 
     def test_infinite_mean_flags(self):
-        assert is_infinite_mean(Neveu())
-        assert is_infinite_mean(Stable(0.0, -0.5, -1.0))
-        assert not is_infinite_mean(Stable(0.0, 0.5, 1.0))
-        assert not is_infinite_mean(Feller(0.0, 1.0))
+        assert Neveu().infinite_mean
+        assert Stable(0.0, -0.5, -1.0).infinite_mean
+        assert not Stable(0.0, 0.5, 1.0).infinite_mean
+        assert not Feller(0.0, 1.0).infinite_mean
 
 
 class TestMechanismAnswers:
@@ -149,7 +146,7 @@ class TestMechanismAnswers:
         growth = mech.sde_coefficients()[3]
         # a + int_1^2 x dx; the trapezoid rule smears the step at x = 1 over a cell
         assert growth == pytest.approx(0.2 + 1.5, abs=0.005)
-        assert growth == -psi_prime_at_zero(mech)
+        assert growth == -mech.psi_prime_at_zero()
 
     def test_jump_laws(self):
         assert Feller(0.3, 1.0).jump_law(1e-3) is None
