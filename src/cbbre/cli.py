@@ -114,12 +114,13 @@ def _survival_env(cfg: ExperimentConfig) -> EnvParams:
     return EnvParams.from_mechanism(cfg.mechanism, cfg.sigma)
 
 
-def _run_dual(cfg: ExperimentConfig, out: Path, prob, quad_method: str,
-              quantity: str, default_t: float):
+def _run_dual(cfg: ExperimentConfig, out: Path, prob, quantity: str, default_t: float):
     """``prob`` (survival_prob or explosion_prob) on the t grid by Monte Carlo,
-    by ``quad_method`` or both, checked against each other."""
+    by quadrature (the density route for eta > -1, the Hartman-Watson route
+    otherwise) or both, checked against each other."""
     exp = cfg.experiment
     env = _survival_env(cfg)
+    quad_method = "quadrature" if env.eta > -1.0 else "quadrature-hw"
     z = float(exp.get("z", 1.0))
     ts = [float(t) for t in exp.get("t_grid", [default_t])]
     method = exp.get("method", "both")
@@ -145,15 +146,13 @@ def _run_dual(cfg: ExperimentConfig, out: Path, prob, quad_method: str,
 def _run_survival(cfg: ExperimentConfig, out: Path):
     from .longterm import survival_prob
 
-    return _run_dual(cfg, out, survival_prob, "quadrature", "survival", 1.0)
+    return _run_dual(cfg, out, survival_prob, "survival", 1.0)
 
 
 def _run_explosion(cfg: ExperimentConfig, out: Path):
     from .longterm import explosion_prob
 
-    quad_method = "quadrature" if _survival_env(cfg).eta > -1.0 else "quadrature-hw"
-    ok, summary, rows = _run_dual(cfg, out, explosion_prob, quad_method,
-                                  "explosion", 5.0)
+    ok, summary, rows = _run_dual(cfg, out, explosion_prob, "explosion", 5.0)
     return ok and all(r["estimate"] > 0 for r in rows), summary, rows
 
 

@@ -19,7 +19,10 @@ The analytic side of the module evaluates the law of
 three ways: Dufresne's Gamma identity at nu = infinity, the closed-form
 density ``p_{nu,eta}`` of 1/(2 I_nu^(eta)) for eta > -1, and a marginal
 built from the Hartman-Watson-type kernel ``theta_r(t)`` which remains valid
-for any drift.  Monte Carlo samplers double as oracles for all of them.
+for any drift.  The density and the kernel integrate Yor's oscillatory
+weight e^(-y^2/2t) sinh(y) sin(pi y/t) against their own kernel in y, on one
+rule (`_yor_sums`) with one noise clamp and one refusal below t = 0.3.
+Monte Carlo samplers double as oracles for all of them.
 """
 from __future__ import annotations
 
@@ -65,9 +68,13 @@ __all__ = [
 ]
 
 #: below these the exp(pi^2/2t) prefactor and sin(pi y/t) oscillation cancel
-#: catastrophically in double precision; Monte Carlo is the fallback
+#: catastrophically in double precision; Monte Carlo is the fallback.  The
+#: density's nu is the Yor rule's t, so both name the one bound it checks
 NU_MIN = 0.3
 T_MIN = 0.3
+
+#: a Yor-rule sum below this share of its cancellation scale is noise and reads 0
+_YOR_CLAMP = 5e-15
 
 
 # ---------------------------------------------------------------------------
@@ -290,47 +297,63 @@ def dufresne_law(eta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Density of 1/(2 I_nu^(eta)) for eta > -1
+# Yor's oscillatory weight, shared by the density and the HW kernel
 # ---------------------------------------------------------------------------
 
-_P_CLAMP = 1e-12  # matches the validated accuracy of the confluent kernel
 
+def _yor_sums(kernel: Callable, x, t: float, ymax: float):
+    """sum_j kernel(x, cosh y)[i, j] w_j e^(-y_j^2/2t) sinh(y_j) sin(pi y_j/t)
+    for each point x[i], clamped to 0 where negative or within `_YOR_CLAMP` of
+    its cancellation scale; refuses t < T_MIN.
 
-def _xi_rule(nu: float, panel_width: float = 0.5, order: int = 16):
-    # panels aligned with the sin(pi xi/nu) lobes; cut where the layer
-    # cancellation residue of the truncated tail is negligible
-    ximax = 2.0 * nu + math.sqrt(4.0 * nu * nu + 220.0 * nu)
+    Gauss-Legendre panels at most 0.5 wide are aligned with the lobes of
+    sin(pi y/t), up to the end of the lobe that reaches ymax.
+    """
+    if t < T_MIN:
+        raise QuadratureInstabilityError(
+            f"t = {t} < {T_MIN}: exp(pi^2/2t) cancellation; use Monte Carlo"
+        )
     edges = [0.0]
     k = 0
-    while k * nu < ximax:
-        lo, hi = k * nu, (k + 1) * nu
-        nsub = max(1, int(np.ceil((hi - lo) / panel_width)))
+    while k * t < ymax:
+        lo, hi = k * t, (k + 1) * t
+        nsub = int(np.ceil((hi - lo) / 0.5))
         edges.extend(np.linspace(lo, hi, nsub + 1)[1:])
         k += 1
-    return gl_panels(np.asarray(edges), order)
+    y, w = gl_panels(np.asarray(edges), 16)
+    osc = w * np.exp(-(y**2) / (2.0 * t)) * np.sinh(y) * np.sin(np.pi * y / t)
+    # past y = 710 sinh overflows; where the Gaussian has underflowed the
+    # weight is below e^(y - y^2/2t), negligible, and 0 * inf must read 0
+    osc[np.isnan(osc)] = 0.0
+    cosh_y = np.cosh(y)
+    val, noise = _row_sums(lambda xx: kernel(xx, cosh_y), x, osc, noise=True)
+    return np.where(np.abs(val) > noise * _YOR_CLAMP, np.maximum(val, 0.0), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Density of 1/(2 I_nu^(eta)) for eta > -1
+# ---------------------------------------------------------------------------
 
 
 def my_density_grid(x, nu: float, eta: float):
     """p_{nu,eta} evaluated on an array of points (vectorized sweep).
 
-    The oscillatory integral is computed against ``U(w) - U(0)`` rather than
-    ``U(w)``: the Gaussian-sinh-sine measure integrates every constant (and
-    every integer power of cosh) to exactly zero, so the subtraction removes
-    the dominant cancellation without changing the value.  A relative noise
-    clamp zeroes points whose remaining cancellation exceeds the kernel
-    accuracy; the true density there is far below anything the caller can
-    use.
+    The Yor integral runs over `_yor_sums` with the kernel ``U(w) - U(0)``,
+    w = x cosh^2 y, rather than ``U(w)``: the Gaussian-sinh-sine measure
+    integrates every constant (and every integer power of cosh) to exactly
+    zero, so the subtraction removes the dominant cancellation without
+    changing the value.  The prefactor enters the exponent with the log of
+    the sum, so it cannot overflow at the smallest points.
     """
-    if nu < NU_MIN:
-        raise QuadratureInstabilityError(
-            f"nu = {nu} < {NU_MIN}: exp(pi^2/2nu) cancellation; use Monte Carlo"
-        )
     if eta <= -1.0:
         raise ParameterError("the density formula requires eta > -1")
     x = np.asarray(x, float)
     if np.any(x <= 0):
         raise ParameterError("density support is (0, infinity)")
     a = 0.5 * (eta + 1.0)
+    # cut where the cancellation residue of the truncated tail is negligible
+    ymax = 2.0 * nu + math.sqrt(4.0 * nu * nu + 220.0 * nu)
+    J = _yor_sums(lambda xx, c: u_half_diff(a, np.outer(xx, c * c)), x, nu, ymax)
     logC = (
         -0.5 * eta * eta * nu
         + np.pi**2 / (2.0 * nu)
@@ -338,12 +361,8 @@ def my_density_grid(x, nu: float, eta: float):
         + _gammaln(a)
         - math.log(math.sqrt(2.0) * np.pi**2 * math.sqrt(nu))
     )
-    xi, w = _xi_rule(nu)
-    osc = w * np.exp(-(xi**2) / (2.0 * nu)) * np.sinh(xi) * np.sin(np.pi * xi / nu)
-    c2 = np.cosh(xi) ** 2
-    J, noise = _row_sums(lambda xx: u_half_diff(a, np.outer(xx, c2)), x, osc, noise=True)
-    J = np.where(np.abs(J) > noise * _P_CLAMP, np.maximum(J, 0.0), 0.0)
-    return np.exp(logC - x - a * np.log(x)) * J
+    with np.errstate(divide="ignore"):  # log 0 = -inf: the density reads 0
+        return np.exp(logC - x - a * np.log(x) + np.log(J))
 
 
 def my_density(nu: float, eta: float, x: float) -> float:
@@ -384,35 +403,21 @@ def density_cdf(points, nu: float, eta: float):
 # ---------------------------------------------------------------------------
 
 
-def _theta_rule(t: float, ymax: float, order: int = 16):
-    width = min(0.5 * t, 0.5)
-    n = max(2, int(np.ceil(ymax / width)) + 1)
-    return gl_panels(np.linspace(0.0, ymax, n), order)
-
-
 def hw_kernel(r, t: float):
     """theta_r(t): the oscillatory kernel of the conditional law of I_t.
 
-    Vectorized over r.  Values that fall below the cancellation noise floor
-    are clamped to zero (theta_r(t) -> 0 faster than any power as r -> 0).
+    Vectorized over r; the Yor integral runs over `_yor_sums` with the
+    kernel e^(-r cosh y).  Values that fall below the cancellation noise
+    floor are clamped to zero (theta_r(t) -> 0 faster than any power as
+    r -> 0).
     """
-    if t < T_MIN:
-        raise QuadratureInstabilityError(
-            f"t = {t} < {T_MIN}: exp(pi^2/2t) cancellation; use Monte Carlo"
-        )
     scalar = np.ndim(r) == 0
     r = np.atleast_1d(np.asarray(r, float))
     if np.any(r <= 0):
         raise ParameterError("r must be positive")
     rmin = float(r.min())
     ymax = min(math.sqrt(2.0 * t * 745.0) + 2.0, float(np.arccosh(745.0 / min(rmin, 745.0)) + 1.0))
-    y, w = _theta_rule(t, ymax)
-    base = -(y**2) / (2.0 * t)
-    osc = np.sinh(y) * np.sin(np.pi * y / t) * w
-    cosh_y = np.cosh(y)
-    val, noise = _row_sums(lambda rr: np.exp(base[None, :] - np.outer(rr, cosh_y)), r, osc,
-                           noise=True)
-    val = np.where(np.abs(val) > noise * 5e-15, np.maximum(val, 0.0), 0.0)
+    val = _yor_sums(lambda rr, c: np.exp(-np.outer(rr, c)), r, t, ymax)
     pref = r / math.sqrt(2.0 * np.pi**3 * t) * math.exp(np.pi**2 / (2.0 * t))
     out = pref * val
     return float(out[0]) if scalar else out
@@ -434,8 +439,6 @@ def hw_marginal_expectation(func: Callable, nu: float, eta: float,
     on a tensor panel grid, with theta_r(nu) interpolated from a dense
     logarithmic r-grid.
     """
-    if nu < T_MIN:
-        raise QuadratureInstabilityError(f"nu = {nu} < {T_MIN}: use Monte Carlo")
     sp = math.sqrt(nu)
     lu_lo = math.log(nu) - 2.0 * abs(eta) * nu - 8.0 * sp - 22.0
     lu_hi = math.log(nu) + 2.0 * abs(eta) * nu + 8.0 * sp + 22.0

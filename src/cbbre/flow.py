@@ -316,27 +316,30 @@ def cond_laplace(z: float, lam: float, t: float, env: EnvPath,
     return float(np.exp(-z * v0))
 
 
+def _cond_prob(z: float, t: float, env: EnvPath, mech: Mechanism, lam: float) -> float:
+    """1 - exp(-z v_t(0, lam, K)): P_z(Z_t > 0 | K) at lam = inf and
+    P_z(Z_t = infinity | K) at lam = 0, from the stable closed form."""
+    if z < 0:
+        raise ParameterError("initial mass must be nonnegative")
+    if lam == 0.0 and mech.conservative:
+        logger.info("the process is conservative: explosion probability 0")
+        return 0.0
+    alpha, beta, c = mech.stable_params()
+    if beta < 0 < lam:
+        logger.info("survival probability is identically 1 for beta < 0")
+        return float(z > 0)
+    return float(-np.expm1(-z * closed_form_stable(lam, t, env, beta, c, alpha)))
+
+
 def cond_survival(z: float, t: float, env: EnvPath, mech: Stable | Feller) -> float:
     """P_z(Z_t > 0 | K) for the stable family.
 
-    For beta < 0 the process never dies: the probability is exactly 1.
+    For beta < 0 the process never dies: the probability is 1 for z > 0.
     """
-    alpha, beta, c = mech.stable_params()
-    if beta < 0:
-        logger.info("survival probability is identically 1 for beta < 0")
-        return 1.0
-    if z < 0:
-        raise ParameterError("initial mass must be nonnegative")
-    v_inf = closed_form_stable(math.inf, t, env, beta, c, alpha)
-    return float(-np.expm1(-z * v_inf))
+    return _cond_prob(z, t, env, mech, math.inf)
 
 
-def cond_explosion(z: float, t: float, env: EnvPath, mech: Stable) -> float:
-    """P_z(Z_t = infinity | K); positive for every t > 0 when beta < 0."""
-    if mech.beta > 0:
-        logger.info("the process is conservative for beta > 0: explosion probability 0")
-        return 0.0
-    if z < 0:
-        raise ParameterError("initial mass must be nonnegative")
-    v0 = closed_form_stable(0.0, t, env, mech.beta, mech.c, mech.alpha)
-    return float(-np.expm1(-z * v0))
+def cond_explosion(z: float, t: float, env: EnvPath, mech: Mechanism) -> float:
+    """P_z(Z_t = infinity | K); positive for every t > 0 when beta < 0, and 0
+    for a conservative mechanism."""
+    return _cond_prob(z, t, env, mech, 0.0)

@@ -4,9 +4,12 @@ Everything stable reduces to functionals of the exponential drift integral
 
     A_t = int_0^t exp(-beta (K_u + alpha u)) du  =d  (4/(beta^2 sigma^2)) I_nu^(eta)
 
-with nu = beta^2 sigma^2 t / 4.  Probabilities can thus be computed two
-independent ways: Monte Carlo over environment paths, and quadrature against
-the density of 1/(2 I_nu^(eta)).  The Monte Carlo side integrates each
+with nu = beta^2 sigma^2 t / 4.  Finite-time survival (beta > 0) and
+explosion (beta < 0) are one expectation over the law of I_nu^(eta), of
+g(x) = 1 - e^(-x) or e^(-x), and one body serves both: it computes them two
+independent ways, Monte Carlo over environment paths, and quadrature
+against the density of 1/(2 I_nu^(eta)) (eta > -1) or against the
+Hartman-Watson marginal (any eta).  The Monte Carlo side integrates each
 sampled path by the trapezoid rule (``environment.log_exp_functional``),
 which is first-order unbiased for the Brownian functional; the exact-linear
 segment rule of the closed forms would be biased low by O(dt).  Limits as
@@ -70,17 +73,43 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _mc_prob(z, t, env, n_paths, n_steps, seed, estimator) -> MCEstimate:
-    # 1 - exp(-z v) averaged over sampled environments, where v = v_t(0, inf)
-    # for beta > 0 (survival) and v = v_t(0, 0) for beta < 0 (explosion)
-    n_steps = n_steps or max(400, int(round(200 * t)))
-    ps = np.empty(n_paths)
-    scale = z * (env.beta * env.c) ** (-1.0 / env.beta)
-    for rows, grid, K0 in _env_path_blocks(env.sigma, env.m, t, n_steps, seed, n_paths):
-        log_a = log_exp_functional(grid, K0, -env.beta)
-        ps[rows] = -np.expm1(-scale * np.exp(-log_a / env.beta))
-    return _mc_estimate(ps, "mc", {"seed": seed, "n_paths": n_paths, "n_steps": n_steps,
-                                   "estimator": estimator})
+def _finite_time_prob(z, t, env, method, n_paths, n_steps, seed) -> MCEstimate:
+    # 1 - E[exp(-x)], x = z k (2 I_nu^(eta))^(-1/beta): P_z(Z_t > 0) for
+    # beta > 0, P_z(Z_t = inf) for beta < 0.  Quadrature integrates
+    # g = 1 - e^(-x) (survival) or e^(-x) (explosion, then 1 - E[g])
+    if z < 0:
+        raise ParameterError("z must be nonnegative")
+    if z == 0:
+        return MCEstimate(0.0, 0.0, 0, method, {"trivial": "z=0"})
+    if t <= 0:
+        raise ParameterError("t must be positive")
+    b, kk = env.beta, env.k
+    if method == "mc":
+        n_steps = n_steps or max(400, int(round(200 * t)))
+        ps = np.empty(n_paths)
+        scale = z * (b * env.c) ** (-1.0 / b)
+        for rows, grid, K0 in _env_path_blocks(env.sigma, env.m, t, n_steps, seed, n_paths):
+            log_a = log_exp_functional(grid, K0, -b)
+            ps[rows] = -np.expm1(-scale * np.exp(-log_a / b))
+        return _mc_estimate(ps, "mc", {
+            "seed": seed, "n_paths": n_paths, "n_steps": n_steps,
+            "estimator": "mean cond_survival" if b > 0 else "mean cond_explosion"})
+    if method == "quadrature":
+        if env.eta <= -1.0:
+            raise MethodError("density quadrature requires eta > -1; "
+                              "use 'quadrature-hw' for eta <= -1")
+        # the density's variable is v = 1/(2 I)
+        expect, x = density_expectation, lambda v: kk * (z**b * v) ** (1.0 / b)
+    elif method == "quadrature-hw":
+        expect, x = hw_marginal_expectation, lambda u: z * kk * (2.0 * u) ** (-1.0 / b)
+    else:
+        raise MethodError(f"unknown method {method!r}")
+    nu = b**2 * env.sigma**2 * t / 4.0
+    if b > 0:
+        val = expect(lambda s: -np.expm1(-x(s)), nu, env.eta)
+    else:
+        val = 1.0 - expect(lambda s: np.exp(-x(s)), nu, env.eta)
+    return MCEstimate(float(val), 0.0, 0, method, {"nu": nu, "eta": env.eta})
 
 
 def survival_prob(z: float, t: float, env: EnvParams, method: str = "mc",
@@ -90,26 +119,12 @@ def survival_prob(z: float, t: float, env: EnvParams, method: str = "mc",
 
     Methods: ``"mc"`` averages the conditional survival over sampled
     environments; ``"quadrature"`` integrates against the density of
-    1/(2 I_nu^(eta)) (requires eta > -1).
+    1/(2 I_nu^(eta)) (requires eta > -1); ``"quadrature-hw"`` integrates
+    against the Hartman-Watson marginal (valid for every eta).
     """
     if env.beta <= 0:
         raise ParameterError("survival_prob requires beta in (0,1]")
-    if z < 0:
-        raise ParameterError("z must be nonnegative")
-    if z == 0:
-        return MCEstimate(0.0, 0.0, 0, method, {"trivial": "z=0"})
-    nu = env.beta**2 * env.sigma**2 * t / 4.0
-    kk = env.k
-    if method == "mc":
-        return _mc_prob(z, t, env, n_paths, n_steps, seed, "mean cond_survival")
-    if method == "quadrature":
-        if env.eta <= -1.0:
-            raise MethodError("density quadrature requires eta > -1")
-        val = density_expectation(
-            lambda v: -np.expm1(-kk * (z**env.beta * v) ** (1.0 / env.beta)), nu, env.eta
-        )
-        return MCEstimate(float(val), 0.0, 0, "quadrature", {"nu": nu, "eta": env.eta})
-    raise MethodError(f"unknown method {method!r}")
+    return _finite_time_prob(z, t, env, method, n_paths, n_steps, seed)
 
 
 def explosion_prob(z: float, t: float, env: EnvParams, method: str = "mc",
@@ -117,35 +132,13 @@ def explosion_prob(z: float, t: float, env: EnvParams, method: str = "mc",
                    seed: int = 0) -> MCEstimate:
     """P_z(Z_t = infinity) for beta in (-1, 0); positive for every t > 0.
 
-    Methods: ``"mc"``; ``"quadrature"`` (p-density, needs eta > -1);
-    ``"quadrature-hw"`` (Hartman-Watson marginal, valid for every eta).
+    Methods as for `survival_prob`: ``"mc"``; ``"quadrature"`` (p-density,
+    needs eta > -1); ``"quadrature-hw"`` (Hartman-Watson marginal, valid for
+    every eta).
     """
     if not -1.0 < env.beta < 0.0:
         raise ParameterError("explosion_prob requires beta in (-1,0)")
-    if z < 0:
-        raise ParameterError("z must be nonnegative")
-    if z == 0:
-        return MCEstimate(0.0, 0.0, 0, method, {"trivial": "z=0"})
-    nu = env.beta**2 * env.sigma**2 * t / 4.0
-    kk = env.k
-    if method == "mc":
-        return _mc_prob(z, t, env, n_paths, n_steps, seed, "mean cond_explosion")
-    if method == "quadrature":
-        if env.eta <= -1.0:
-            raise MethodError("density quadrature requires eta > -1; "
-                              "use 'quadrature-hw' for eta <= -1")
-        conserv = density_expectation(
-            lambda v: np.exp(-kk * (z**env.beta * v) ** (1.0 / env.beta)), nu, env.eta
-        )
-        return MCEstimate(float(1.0 - conserv), 0.0, 0, "quadrature",
-                          {"nu": nu, "eta": env.eta})
-    if method == "quadrature-hw":
-        conserv = hw_marginal_expectation(
-            lambda u: np.exp(-z * kk * (2.0 * u) ** (-1.0 / env.beta)), nu, env.eta
-        )
-        return MCEstimate(float(1.0 - conserv), 0.0, 0, "quadrature-hw",
-                          {"nu": nu, "eta": env.eta})
-    raise MethodError(f"unknown method {method!r}")
+    return _finite_time_prob(z, t, env, method, n_paths, n_steps, seed)
 
 
 # ---------------------------------------------------------------------------

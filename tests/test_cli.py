@@ -114,6 +114,18 @@ class TestCli:
         header = (tmp_path / "o" / "survival.csv").read_text().splitlines()[0]
         assert header == "t,quantity,estimate,stderr,method"
 
+    def test_survival_below_eta_boundary_uses_hw_route(self, tmp_path):
+        doc = dict(BASE) | {
+            "experiment": {"kind": "survival", "z": 1.0, "t_grid": [2.0],
+                           "method": "both", "n_paths": 4000},
+            "mechanism": {"kind": "feller", "alpha": 1.5, "gamma2": 1.0},  # eta = -2
+            "out": str(tmp_path / "o"),
+        }
+        assert main(["survival", "--config", str(write_cfg(tmp_path, doc))]) == 0
+        methods = [line.split(",")[-1] for line in
+                   (tmp_path / "o" / "survival.csv").read_text().splitlines()[1:]]
+        assert methods == ["mc", "quadrature-hw"]
+
     def test_byte_identical_reruns(self, tmp_path):
         doc = dict(BASE) | {
             "experiment": {"kind": "simulate", "z0": 1.0, "T": 0.5,

@@ -159,8 +159,48 @@ class TestMyDensity:
     def test_positive_scalar(self):
         assert my_density(1.0, 0.0, 0.5) > 0
 
+    def test_mass_at_eta_four(self):
+        # the large-eta sums cancel deepest; the noise clamp keeps the mass
+        mass = density_expectation(np.ones_like, 2.5, 4.0)
+        assert abs(mass - 1.0) <= 1e-6
+
+
+# theta_r(t) by mpmath at 40 digits, lobe by lobe of sin(pi y/t), at r
+# spanning theta >= 1e-6 of its peak for each t
+HW_KERNEL_MPMATH = {
+    0.3125: {0.6: 6.522545898990893e-05, 0.946: 0.008181159438416656,
+             1.49: 0.3854366346582666, 2.36: 6.476019016649145, 3.71: 31.238055121397206,
+             5.86: 36.163646102462025, 9.24: 6.757090207496913, 14.6: 0.1064596014657248,
+             23.0: 5.316992543329557e-05},
+    0.5: {0.2: 9.928217030709524e-06, 0.353: 0.0010188515449596263,
+          0.624: 0.04354603146109093, 1.1: 0.7007343769572566, 1.95: 3.8600916463466235,
+          3.44: 5.613834787836998, 6.09: 1.432511043112318, 10.8: 0.028613243004319257,
+          19.0: 1.192468950862695e-05},
+    1.0: {0.025: 9.120205565012081e-07, 0.0561: 8.677606475169558e-05,
+          0.126: 0.003645693968371957, 0.282: 0.06309404185269778, 0.632: 0.4167749351690647,
+          1.42: 0.8560930442187442, 3.18: 0.34682353909520985, 7.13: 0.009481407278741203,
+          16.0: 1.3380043526915343e-06},
+    5.0: {1.2e-05: 7.548291094632286e-08, 6.82e-05: 4.58109650224272e-06,
+          0.000387: 0.0001406825495363533, 0.0022: 0.0021537449790349043,
+          0.0125: 0.01575565430732931, 0.0709: 0.05072396073526085,
+          0.403: 0.055926782806796055, 2.29: 0.006427143161462137,
+          13.0: 7.185364123956664e-08},
+}
+
 
 class TestHartmanWatson:
+    @pytest.mark.parametrize("t", sorted(HW_KERNEL_MPMATH))
+    def test_kernel_matches_mpmath(self, t):
+        r = np.array(list(HW_KERNEL_MPMATH[t]))
+        ref = np.array(list(HW_KERNEL_MPMATH[t].values()))
+        rtol = np.full(r.size, 1e-8)
+        if t == 0.3125:
+            # at r = 0.6 the sum cancels 1.5e9-fold in double precision
+            # (the value is 1.8e-6 of the peak): 1.1e-7 here, 8.1e-8 with
+            # the uniform panels of width t/2
+            rtol[0] = 2e-7
+        assert np.all(np.abs(hw_kernel(r, t) / ref - 1.0) <= rtol)
+
     def test_positive_at_unit_arguments(self):
         assert hw_kernel(1.0, 1.0) > 0
 
@@ -168,6 +208,11 @@ class TestHartmanWatson:
         # theta_r(t) stays finite and positive for tiny r ... the quadrature
         # must not lose the sinh(0)=0 endpoint
         assert hw_kernel(np.array([1e-3, 1.0]), 1.0).shape == (2,)
+
+    def test_tiny_r_leaves_other_points_alone(self):
+        # r = 1e-300 takes the rule past y = 710, where sinh overflows
+        pair = hw_kernel(np.array([1e-300, 1.0]), 250.0)
+        assert pair[1] > 0 and pair[1] == pytest.approx(hw_kernel(1.0, 250.0), rel=1e-12)
 
     def test_refuses_small_t(self):
         with pytest.raises(QuadratureInstabilityError):

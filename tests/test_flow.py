@@ -259,6 +259,7 @@ class TestConditionalProbabilities:
 
     def test_survival_trivial_for_negative_beta(self, flat_path):
         assert cond_survival(1.0, 1.0, flat_path, Stable(0.0, -0.5, -1.0)) == 1.0
+        assert cond_survival(0.0, 1.0, flat_path, Stable(0.0, -0.5, -1.0)) == 0.0
 
     def test_survival_monotone_decreasing_in_t(self):
         env = sample_env_path(1.0, -0.5, 3.0, 600, seed=15, flavor="K")
@@ -278,6 +279,10 @@ class TestConditionalProbabilities:
 
     def test_explosion_conservative_for_positive_beta(self, flat_path):
         assert cond_explosion(1.0, 1.0, flat_path, Stable(0.0, 0.5, 1.0)) == 0.0
+
+    @pytest.mark.parametrize("mech", [Feller(0.5, 1.0), Neveu()])
+    def test_explosion_zero_for_conservative_mechanisms(self, flat_path, mech):
+        assert cond_explosion(1.0, 1.0, flat_path, mech) == 0.0
 
     def test_explosion_monotone_increasing_in_t(self):
         env = sample_env_path(1.0, -0.5, 3.0, 600, seed=16, flavor="K")

@@ -58,6 +58,18 @@ class TestSurvivalProb:
         with pytest.raises(ParameterError):
             survival_prob(1.0, 1.0, derive_env(1.0, 0.0, -0.5, -1.0))
 
+    def test_hw_quadrature_matches_density_route(self):
+        env = derive_env(1.0, 0.5, 1.0, 1.0)  # m = 0, eta = 0
+        hw = survival_prob(1.0, 2.0, env, "quadrature-hw")
+        quad = survival_prob(1.0, 2.0, env, "quadrature")
+        assert hw.value == pytest.approx(quad.value, abs=2e-3)
+
+    def test_mc_vs_hw_quadrature_below_eta_boundary(self):
+        env = derive_env(1.0, 1.5, 1.0, 1.0)  # m = 1, eta = -2
+        mc = survival_prob(1.0, 2.0, env, "mc", n_paths=20000, seed=5)
+        quad = survival_prob(1.0, 2.0, env, "quadrature-hw")
+        assert abs(mc.value - quad.value) <= 3 * mc.stderr
+
 
 class TestExplosionProb:
     def test_zero_mass(self):
@@ -308,6 +320,14 @@ class TestScaledTrends:
         rows = survival_scaled_trend(1.0, env, [10.0, 20.0])
         assert rows[-1]["rel_gap"] < 0.01
         assert rows[0]["scaled"] > rows[1]["scaled"]
+
+    def test_intermediately_subcritical_trend_at_long_horizons(self):
+        # nu = 30..50, eta = 2: the density prefactor at the smallest v nodes
+        # lies past the largest double, where the clamped sum is 0
+        env = derive_env(1.0, -0.5, 1.0, 1.0)
+        gaps = [r["rel_gap"] for r in survival_scaled_trend(1.0, env, [120.0, 160.0, 200.0])]
+        assert all(np.isfinite(gaps)) and gaps[0] > gaps[1] > gaps[2]
+        assert gaps[-1] < 0.02
 
 
 class TestNeveuLongterm:
