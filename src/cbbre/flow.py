@@ -8,7 +8,10 @@ v_t(s, lambda, delta) solves the backward equation
 (with psi replaced by psi0 on K0-flavored paths).  The module provides a
 vectorized Dormand-Prince 5(4) solver that carries its step count from one
 environment segment to the next, the Neveu / Feller / stable closed forms,
-and the conditional survival and explosion probabilities they imply.
+and the conditional survival and explosion probabilities they imply.  A
+single path, as every ``solve_backward`` call has, takes the same steps on
+Python floats: there numpy's cost per call, several microseconds per psi
+evaluation, would outweigh the arithmetic.
 
 The declared path model is linear interpolation of the environment between
 grid points.  Closed-form path functionals integrate exp(linear) segments
@@ -94,7 +97,7 @@ class FlowSolution:
         return float(self.values[0] if self.values.ndim == 1 else self.values[0, 0])
 
 
-def _rhs_factory(mech: Mechanism, flavor: str):
+def _rhs_factory(mech: Mechanism, flavor: str, one_path: bool = False):
     # psi is looked up in this module at call time, so a wrapped
     # eval_psi/eval_psi0 sees every call
     if flavor not in ("K", "K0"):
@@ -107,6 +110,19 @@ def _rhs_factory(mech: Mechanism, flavor: str):
         psi = lambda u: eval_psi0(mech, u)
     else:
         psi = lambda u: eval_psi(mech, u)
+
+    if one_path:
+        def rhs(d, v):
+            # d = delta_s, v a float.  Where numpy would overflow to inf or
+            # divide by zero, Python raises; NaN fails the error test as
+            # those values do
+            try:
+                ed = math.exp(d)
+                return ed * psi((0.0 if v < 0.0 else v) / ed)
+            except (OverflowError, ZeroDivisionError):
+                return math.nan
+
+        return rhs
 
     def rhs(ed, v):
         # ed = exp(delta_s)
@@ -130,6 +146,11 @@ _DP_A = np.array([
 ])
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                   22 / 525, -1 / 40])
+# the same tableau as tuples of floats for the one-path route; row st of
+# _DP_ROWS holds the weights of the st stages before stage st
+_DP_C1 = tuple(_DP_C.tolist())
+_DP_ROWS = tuple(tuple(row[:st]) for st, row in enumerate(_DP_A.tolist()))
+_DP_E1 = tuple(_DP_E.tolist())
 
 
 def solve_backward_batch(mech: Mechanism, lam: float, t: float, grid, values,
@@ -148,6 +169,9 @@ def solve_backward_batch(mech: Mechanism, lam: float, t: float, grid, values,
     when the error is below ``tol / 64``.  A segment that still fails at
     ``2**max_halvings`` steps raises ``SolverError``, unless v has blown up
     there.
+
+    One path (``values`` of one row) takes the same steps, tries and checks
+    on Python floats (`_solve_one`), free of numpy's per-call cost.
     """
     g = np.asarray(grid, float)
     V = np.atleast_2d(np.asarray(values, float))
@@ -155,9 +179,12 @@ def solve_backward_batch(mech: Mechanism, lam: float, t: float, grid, values,
         raise ParameterError("terminal value lambda must be finite and >= 0")
     if abs(g[-1] - t) > 1e-12 * max(1.0, t):
         raise ParameterError("environment grid must end at the horizon t")
+    max_sub = 2**max_halvings
+    if V.shape[0] == 1:
+        return _solve_one(_rhs_factory(mech, flavor, one_path=True), float(lam),
+                          g.tolist(), V[0].tolist(), tol, max_sub)
     rhs = _rhs_factory(mech, flavor)
     dV = np.diff(V, axis=1)
-    max_sub = 2**max_halvings
 
     out = np.empty_like(V)
     out[:, -1] = lam
@@ -220,6 +247,72 @@ def _dp_span(rhs, k, v, d_lo, dd, length, n_sub, stop):
         v = y
         k[0] = k[-1]
     return v, err
+
+
+def _solve_one(rhs, lam, g, d, tol, max_sub):
+    """`solve_backward_batch` on the one path ``d`` (a list), with the
+    one-path ``rhs``: the same segments, step memory, tries, floor, blow-up
+    and errors, on Python floats."""
+    out = [lam] * len(g)
+    v = lam
+    k = rhs(d[-1], v)  # f at the start of the next step
+    n_sub = 1
+    blowup = None
+    for j in range(len(g) - 2, -1, -1):
+        s_lo = g[j]
+        while True:
+            v_new, err, k_end = _dp_span_one(rhs, k, v, d[j], d[j + 1] - d[j],
+                                             g[j + 1] - s_lo, n_sub,
+                                             tol if n_sub < max_sub else math.inf)
+            if err < tol or n_sub >= max_sub:
+                break
+            n_sub *= 2
+        if not math.isfinite(v_new) or v_new > V_BLOWUP:
+            blowup = float(s_lo)
+            out[: j + 1] = [math.inf] * (j + 1)
+            break
+        if not err < tol:
+            raise SolverError(
+                f"no convergence on the segment ending at s = {s_lo:.6g}: error "
+                f"estimate {err:.3g} >= tol {tol:.3g} with {n_sub} steps")
+        if v_new < -tol * 10:
+            raise SolverError(f"negative excursion at s = {s_lo:.6g}")
+        v = v_new if v_new >= V_FLOOR else 0.0
+        k = k_end if v == v_new else rhs(d[j], v)
+        out[j] = v
+        if err < tol / 64 and n_sub > 1:
+            n_sub //= 2
+    return np.array([out]), blowup
+
+
+def _dp_span_one(rhs, k1, v, d_lo, dd, length, n_sub, stop):
+    """`_dp_span` on one path in Python floats: ``k1`` is f at the start;
+    returns the end value, the largest error estimate and f at the end."""
+    h = -length / n_sub
+    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _DP_ROWS
+    e1, _, e3, e4, e5, e6, e7 = _DP_E1
+    _, c2, c3, c4, c5, _, _ = _DP_C1
+    err = 0.0
+    for i in range(n_sub):
+        d_end = d_lo + (1.0 - (i + 1.0) / n_sub) * dd  # delta at stages 6 and 7
+        k2 = rhs(d_lo + (1.0 - (i + c2) / n_sub) * dd, v + h * (a21 * k1))
+        k3 = rhs(d_lo + (1.0 - (i + c3) / n_sub) * dd, v + h * (a31 * k1 + a32 * k2))
+        k4 = rhs(d_lo + (1.0 - (i + c4) / n_sub) * dd,
+                 v + h * (a41 * k1 + a42 * k2 + a43 * k3))
+        k5 = rhs(d_lo + (1.0 - (i + c5) / n_sub) * dd,
+                 v + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
+        k6 = rhs(d_end, v + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5))
+        y = v + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+        k7 = rhs(d_end, y)
+        ay = abs(y)  # a NaN y gives a NaN estimate, as in _dp_span
+        e = (abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7))
+             / (1.0 if ay <= 1.0 else ay))
+        err = max(err, e) if e == e else math.inf  # a NaN estimate fails
+        if err > stop:
+            return y, err, k1
+        v, k1 = y, k7
+    return v, err, k1
 
 
 def solve_backward(mech: Mechanism, lam: float, t: float, env: EnvPath,

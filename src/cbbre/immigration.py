@@ -37,8 +37,8 @@ def cbibre_cond_laplace(z: float, lam: float, t: float, env: EnvPath,
 
     The branching factor uses the drift-free backward equation (psi0); the
     immigration factor integrates phi(v e^{-K0}) along the solution: exactly
-    for the drift and a stable nu under the linear path model, by composite
-    Simpson on the environment grid for a tabulated nu.
+    for the drift and a stable nu under the linear path model, by the
+    trapezoid on the environment grid for a tabulated nu.
     """
     if z < 0:
         raise ParameterError("initial mass must be nonnegative")

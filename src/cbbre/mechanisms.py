@@ -35,7 +35,7 @@ import numpy as np
 
 from .environment import integral_exp_linear, log_exp_functional
 from .errors import ParameterError, UnsupportedMechanismError
-from .numerics import _gamma, _simpson
+from .numerics import _gamma
 
 __all__ = [
     "Mechanism",
@@ -136,9 +136,9 @@ def _pareto_sampler(eps: float, index: float):
 
 class Mechanism:
     """A branching mechanism.  Subclasses define ``_psi`` and ``_psi0`` (on
-    arrays that ``eval_psi``/``eval_psi0`` have checked), the SDE
-    coefficients and the config block; the defaults suit psi(u) = -alpha*u
-    + ... without jumps or closed form."""
+    arrays or Python floats that ``eval_psi``/``eval_psi0`` have checked),
+    the SDE coefficients and the config block; the defaults suit
+    psi(u) = -alpha*u + ... without jumps or closed form."""
 
     #: psi'(0+) = -infinity
     infinite_mean = False
@@ -199,6 +199,8 @@ class Neveu(Mechanism):
     infinite_mean = True
 
     def _psi(self, u):
+        if isinstance(u, float):
+            return u * math.log(u) if u > 0 else 0.0
         return np.where(u > 0, u * np.log(np.where(u > 0, u, 1.0)), 0.0)
 
     def _psi0(self, u):
@@ -445,8 +447,9 @@ class TabulatedMeasure:
         return out
 
     def phi_path_integral(self, grid, log_u) -> float:
-        """int phi(e^{log_u(s)}) ds by composite Simpson on the grid."""
-        return float(_simpson(self.phi(np.exp(log_u)), grid))
+        """int phi(e^{log_u(s)}) ds by the trapezoid on the grid, whose
+        nodes hold every kink of the piecewise-linear log_u."""
+        return float(np.trapezoid(self.phi(np.exp(log_u)), grid))
 
     def jump_law(self, eps: float) -> JumpLaw:
         """The immigration jumps of size >= eps (the density, linear in each
@@ -494,14 +497,14 @@ class GeneralCB(Mechanism):
             x = self.mu.x
             uu = np.atleast_1d(u)
             ex = np.exp(-np.outer(uu, x)) - 1.0 + np.outer(uu, x) * (x < 1.0)
-            out = out + np.trapezoid(ex * self.mu.density, x, axis=-1).reshape(u.shape)
+            out = out + np.trapezoid(ex * self.mu.density, x, axis=-1).reshape(np.shape(u))
             if self.mu.tail_mass > 0:
                 xt = self.mu.tail_location
                 out = out + self.mu.tail_mass * (np.exp(-u * xt) - 1.0 + u * xt * (xt < 1.0))
         return out
 
     def _psi0(self, u):
-        return np.asarray(self._psi(u)) - self._slope * u
+        return self._psi(u) - self._slope * u
 
     @cached_property
     def _slope(self) -> float:
@@ -594,7 +597,12 @@ class ImmigrationMechanism:
 
 
 def eval_psi(mech: Mechanism, u):
-    """Evaluate the branching mechanism psi(u), u >= 0 (vectorized)."""
+    """Evaluate the branching mechanism psi(u), u >= 0 (vectorized; a
+    Python float gives a float without a pass through numpy)."""
+    if type(u) is float:
+        if u < 0:
+            raise ParameterError("psi is defined on u >= 0 only")
+        return float(mech._psi(u))
     u = np.asarray(u, float)
     if (u < 0).any():
         raise ParameterError("psi is defined on u >= 0 only")
@@ -603,7 +611,12 @@ def eval_psi(mech: Mechanism, u):
 
 
 def eval_psi0(mech: Mechanism, u):
-    """psi0(u) = psi(u) - psi'(0+)*u, the drift-free part of the mechanism."""
+    """psi0(u) = psi(u) - psi'(0+)*u, the drift-free part of the mechanism;
+    a Python float gives a float, as in `eval_psi`."""
+    if type(u) is float:
+        if u < 0:
+            raise ParameterError("psi0 is defined on u >= 0 only")
+        return float(mech._psi0(u))
     u = np.asarray(u, float)
     if (u < 0).any():
         raise ParameterError("psi0 is defined on u >= 0 only")

@@ -19,11 +19,9 @@ Five things live here because several modules need them:
   negative powers, exactly 1 at q = 0), whose one-point case is
   `gamma_power_laplace`; the row sweeps of other modules sum on it too,
 * the scipy functions the package calls: Gamma and ln Gamma (`_gamma`,
-  `_gammaln`), composite Simpson (`_simpson`) and the ``hyperu`` fallback
-  of `u_half`.  Each imports its scipy submodule when it is first called,
-  so ``import cbbre`` loads numpy only: ``scipy.special`` loads on the
-  first Gamma or U-kernel call and ``scipy.integrate`` only for a
-  tabulated immigration measure.
+  `_gammaln`) and the ``hyperu`` fallback of `u_half`, all from
+  ``scipy.special``, which is imported when one of them is first called,
+  so ``import cbbre`` loads numpy only.
 
 The confluent kernel has three zones in w: the Kummer connection series
 for small ``w``, a piecewise Chebyshev fit of log U in log w (built once per
@@ -67,14 +65,6 @@ def _gammaln(x):
     from scipy import special
 
     return special.gammaln(x)
-
-
-def _simpson(y, x):
-    """Composite Simpson of the samples y at the points x, by scipy.integrate
-    (imported on first use)."""
-    from scipy import integrate
-
-    return integrate.simpson(y, x=x)
 
 
 # ---------------------------------------------------------------------------

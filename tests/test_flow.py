@@ -18,7 +18,7 @@ from cbbre.flow import (
     solve_backward_batch,
     suffix_integral_exp_linear,
 )
-from cbbre.mechanisms import Feller, GeneralCB, Neveu, Stable
+from cbbre.mechanisms import Feller, GeneralCB, Neveu, Stable, TabulatedMeasure
 
 from conftest import make_flat
 
@@ -226,6 +226,72 @@ class TestDormandPrince:
         with pytest.raises(SolverError, match=r"s = 0\.9\b.*error estimate"):
             solve_backward_batch(Feller(0.5, 1.0), 10.0, 1.0, env.grid, env.values, "K",
                                  tol=1e-20, max_halvings=0)
+
+
+_TAB_MU = TabulatedMeasure(np.geomspace(0.02, 10.0, 120),
+                          np.exp(-np.geomspace(0.02, 10.0, 120)), 0.1, 12.0)
+
+
+def _both_routes(mech, lam, k, flavor, grid, **kw):
+    """(one-path result, first row of the same path doubled into a batch):
+    the batch's error estimate is the one path's, so both take the same
+    steps."""
+    one = solve_backward_batch(mech, lam, 1.0, grid, k[None, :], flavor, **kw)
+    two = solve_backward_batch(mech, lam, 1.0, grid, np.vstack([k, k]), flavor, **kw)
+    return one, (two[0][:1], two[1])
+
+
+class TestOnePathRoute:
+    @pytest.mark.parametrize("mech,flavor", [
+        (Feller(0.5, 1.0), "K"),
+        (Stable(0.5, 0.5, 1.0), "K"),
+        (Stable(0.5, -0.5, -1.0), "K"),
+        (Neveu(), "K"),
+        (GeneralCB(0.0, 0.5, 0.6, _TAB_MU), "K0"),
+    ])
+    def test_matches_the_batch_route(self, mech, flavor):
+        grid, K = sample_env_paths(1.0, -0.5, 1.0, 500, 21, 2)
+        for k in K:
+            for lam in (0.3, 10.0):
+                (one, b1), (two, b2) = _both_routes(mech, lam, k, flavor, grid, tol=1e-11)
+                assert one.shape == (1, grid.size) and b1 is None and b2 is None
+                np.testing.assert_allclose(one, two, rtol=1e-13, atol=0.0)
+
+    def test_same_blowup_time(self):
+        # beta < 0 and alpha t = 30: v passes V_BLOWUP = 1e12 before s = 0
+        grid, K = sample_env_paths(1.0, -0.5, 1.0, 400, 22, 1)
+        (one, b1), (two, b2) = _both_routes(Stable(30.0, -0.5, -1.0), 1.0, K[0], "K", grid)
+        assert b1 is not None and 0.0 < b1 < 1.0 and b1 == b2
+        assert np.isinf(one[0, grid <= b1]).all()
+        np.testing.assert_allclose(one, two, rtol=1e-13, atol=0.0)
+
+    def test_overflow_within_a_segment_is_a_blowup(self):
+        # psi(u) = -400 u + 0 u^2 on one segment: v reaches e^400, where u^2
+        # overflows (numpy gives inf, Python floats raise)
+        grid = np.array([0.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            (one, b1), (two, b2) = _both_routes(GeneralCB(0.0, 400.0, 0.0), 1.0,
+                                                np.zeros(2), "K", grid)
+        assert b1 == b2 == 0.0
+        np.testing.assert_array_equal(one, two)
+
+    def test_same_solver_error(self):
+        env = sample_env_path(1.0, -0.5, 1.0, 10, seed=19, flavor="K")
+        texts = []
+        for rows in (env.values[None, :], np.vstack([env.values, env.values])):
+            with pytest.raises(SolverError) as info:
+                solve_backward_batch(Feller(0.5, 1.0), 10.0, 1.0, env.grid, rows, "K",
+                                     tol=1e-20, max_halvings=0)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1]
+
+    def test_every_psi_call_goes_through_the_module(self, monkeypatch):
+        calls = []
+        real = flow.eval_psi0
+        monkeypatch.setattr(flow, "eval_psi0", lambda m, u: calls.append(u) or real(m, u))
+        env = sample_env_path(1.0, 0.0, 1.0, 100, seed=23, flavor="K0")
+        solve_backward(Feller(0.5, 1.0), 1.0, 1.0, env)
+        assert len(calls) >= 6 * 100 and all(type(u) is float for u in calls)
 
 
 class TestConditionalProbabilities:

@@ -105,9 +105,9 @@ class TestOdePipeline:
         assert got == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
-    def test_tabulated_nu_within_simpson_error(self, sigma):
-        # a tabulated nu: int phi(e^{L(s)}) ds by composite Simpson on the
-        # grid, L = log v - K0 linear between grid points; z = 0 leaves the
+    def test_tabulated_nu_within_trapezoid_error(self, sigma):
+        # a tabulated nu: int phi(e^{L(s)}) ds by the trapezoid on the grid,
+        # L = log v - K0 linear between grid points; z = 0 leaves the
         # immigration factor alone
         env = sample_env_path(sigma, 0.3, 1.0, 300, seed=49, flavor="K0")
         mech = Feller(0.3, 1.0)
@@ -124,22 +124,13 @@ class TestOdePipeline:
         fine = np.append(g[:-1, None] + h[:, None] * np.arange(sub) / sub, g[-1])
         ref = np.trapezoid(nu.phi(np.exp(np.interp(fine, g, L))), fine)
         # f = phi(e^L) on a cell of slope c: f'' = c^2 (u^2 phi''(u) + u phi'(u)),
-        # u = e^L, bounded by M2 = c^2 (4/e^2 + 1/e) m, m the mass of nu.  On a
-        # pair of cells with a kink Delta in f' at the middle node Simpson
-        # errs by Delta h^2/6 within 2/3 M2 h^3 (f less its one-sided
-        # tangents there); the oracle's error is below h (h/16)^2 M2 / 12
-        # per cell
+        # u = e^L, bounded by M2 = c^2 (4/e^2 + 1/e) m, m the mass of nu.  The
+        # kinks of f sit on the nodes, so the trapezoid errs by at most
+        # M2 h^3 / 12 per cell, and the oracle by h (h/16)^2 M2 / 12
         c = np.diff(L) / h
         m = np.trapezoid(nu.density, x) + nu.tail_mass
         M2 = c**2 * (4.0 / math.e**2 + 1.0 / math.e) * m
-        u = np.exp(L[1:-1:2])
-        du = (np.trapezoid(x * np.exp(-np.outer(u, x)) * nu.density, x)  # phi'(u)
-              + nu.tail_mass * nu.tail_location * np.exp(-u * nu.tail_location))
-        kink = np.abs(u * du * (c[1::2] - c[0::2]))
-        tol = (np.sum(kink * h[0::2] ** 2) / 6.0
-               + 2.0 / 3.0 * np.sum(np.maximum(M2[0::2], M2[1::2]) * h[0::2] ** 3)
-               + np.sum(M2 * h**3) / (12.0 * sub**2))
-        assert g.size % 2 == 1  # an even number of cells: Simpson on pairs only
+        tol = np.sum(M2 * h**3) / 12.0 * (1.0 + 1.0 / sub**2)
         assert abs(got - ref) <= tol
 
 

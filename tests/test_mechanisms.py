@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,35 @@ class TestEvalPsi:
         f = Feller(0.2, 1.5)
         u = np.linspace(0.0, 5.0, 21)
         np.testing.assert_allclose(eval_psi(g, u), eval_psi(f, u), rtol=0, atol=1e-14)
+
+
+_TABULATED = TabulatedMeasure(np.geomspace(0.01, 20.0, 200),
+                              np.exp(-np.geomspace(0.01, 20.0, 200)), 0.2, 30.0)
+_FLOAT_MECHS = [Neveu(), Feller(0.3, 1.2), Stable(0.4, 0.5, 1.0), Stable(0.4, -0.5, -1.0),
+                GeneralCB(0.1, 0.4, 0.8), GeneralCB(0.0, 0.4, 0.8, _TABULATED)]
+
+
+class TestFloatRoute:
+    """A Python float skips numpy: the value is a float, within 2 ulp of
+    the one-element array's (numpy's pow may round the other way)."""
+
+    @pytest.mark.parametrize("mech,which", [
+        (m, f) for m in _FLOAT_MECHS for f in (eval_psi, eval_psi0)
+        if f is eval_psi or not m.infinite_mean])
+    def test_float_matches_one_element_array(self, mech, which):
+        for u in (0.0, 1e-300, 3e-9, 0.37, 1.0, 2.5, 1e6):
+            got = which(mech, u)
+            want = which(mech, np.array([u]))[0]
+            assert type(got) is float
+            assert abs(got - want) <= 2 * math.ulp(want), (u, got, want)
+
+    @pytest.mark.parametrize("mech", _FLOAT_MECHS)
+    def test_negative_float_rejected(self, mech):
+        with pytest.raises(ParameterError, match="u >= 0"):
+            eval_psi(mech, -1e-300)
+        if not mech.infinite_mean:
+            with pytest.raises(ParameterError, match="u >= 0"):
+                eval_psi0(mech, -0.5)
 
 
 class TestPsi0:

@@ -11,7 +11,10 @@ benchmark and package.  The file records, per workload and end-to-end
 metric, every run's value, the median and quartiles of each side and the
 number of pairs the change won, together with the machine, the numpy and
 scipy versions, both git commits and the Python lines under ``src/`` and
-``tests/``.
+``tests/``.  Under ``operations`` it records the same for each operation's
+median seconds per round, parsed from the ``<workload>/<op>: median <s> s``
+lines that ``run.py`` writes to standard error, so that a gain can be
+traced to the operations that made it.
 """
 from __future__ import annotations
 
@@ -20,20 +23,28 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
+OP_LINE = re.compile(r"^(?P<workload>[\w-]+)/(?P<op>[\w-]+): median (?P<s>\S+) s\b", re.M)
+
+
 def run_benchmark(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """run.py's result line, plus ``ops``: {operation: median seconds per round}."""
     proc = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"benchmark failed in {root}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    out["ops"] = {m["op"]: float(m["s"]) for m in OP_LINE.finditer(proc.stderr)
+                  if m["workload"] == workload}
+    return out
 
 
 def git(root: Path, *args: str) -> str:
@@ -64,6 +75,19 @@ def checkout_info(root: Path) -> dict:
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(parent: list[float], change: list[float], lower: bool) -> dict:
+    """Both sides' runs, medians and quartiles, the relative change of the
+    median and the number of pairs the change won."""
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    med = {"parent": summary(parent), "change": summary(change)}
+    return {
+        "parent": med["parent"] | {"runs": parent},
+        "change": med["change"] | {"runs": change},
+        "relative_change": med["change"]["median"] / med["parent"]["median"] - 1.0,
+        "change_wins": wins,
+    }
 
 
 def cpu_model() -> str:
@@ -103,18 +127,18 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
         row = {"seeds": [args.seed + i for i in range(args.pairs)], "metrics": {}}
         for m in metrics:
-            name, lower = m["name"], m["better"] == "lower"
+            name = m["name"]
             vals = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in runs}
-            wins = sum((c < p) if lower else (c > p)
-                       for p, c in zip(vals["parent"], vals["change"]))
-            med = {s: summary(vals[s]) for s in vals}
-            row["metrics"][name] = {
-                "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-                "parent": med["parent"] | {"runs": vals["parent"]},
-                "change": med["change"] | {"runs": vals["change"]},
-                "relative_change": med["change"]["median"] / med["parent"]["median"] - 1.0,
-                "change_wins": wins,
-            }
+            row["metrics"][name] = {"unit": m["unit"], "better": m["better"],
+                                    "bound": m["bound"]} | compare(
+                vals["parent"], vals["change"], m["better"] == "lower")
+        # an operation that raised in every round of a run has no median
+        # line there; compare only those timed in every run of both sides
+        ops = [op for op in runs["parent"][0]["ops"]
+               if all(op in r["ops"] for side in runs.values() for r in side)]
+        row["operations"] = {op: {"unit": "s", "better": "lower"} | compare(
+            [r["ops"][op] for r in runs["parent"]],
+            [r["ops"][op] for r in runs["change"]], True) for op in ops}
         for side in runs:
             row[f"{side}_failed"] = sum(r["failed"] for r in runs[side])
             row[f"{side}_attempted"] = sum(r["attempted"] for r in runs[side])
