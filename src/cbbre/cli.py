@@ -98,14 +98,13 @@ def _run_simulate(cfg: ExperimentConfig, out: Path):
         "env_flavor": batch.env_flavor,
         "scheme": batch.scheme,
     }
-    p0 = batch.path(0)
     rows = [{"t": float(t), "quantity": "Z", "estimate": float(z),
              "stderr": 0.0, "method": "path0"}
-            for t, z in zip(p0.times, p0.z)]
+            for t, z in zip(batch.times, batch.z[0])]
     emit_plot_data(rows, out / "path0.csv",
                    ["t", "quantity", "estimate", "stderr", "method"])
     np.savetxt(out / "path0_env.csv",
-               np.column_stack([p0.times, p0.z, p0.env_values]),
+               np.column_stack([batch.times, batch.z[0], batch.env_values[0]]),
                delimiter=",", header="t,Z,K", comments="")
     return True, summary, rows
 
@@ -345,15 +344,12 @@ def _suite_dual_methods(seed: int):
 
 def _suite_identities(seed: int):
     from .conditioned import U_star, theta
-    from .longterm import asympt_survival_constant, extinction_prob_exact_stable
 
     checks = []
-    env = EnvParams(1.0, 1.5, 1.0, 1.0)
-    a = 1.0 - asympt_survival_constant(2.0, env).constant
-    b = U_star(2.0, env)
-    c = extinction_prob_exact_stable(2.0, env)
-    checks.append({"check": "ustar-identity", "gap": max(abs(a - b), abs(b - c)),
-                   "tol": 1e-10, "pass": max(abs(a - b), abs(b - c)) <= 1e-10})
+    env = EnvParams(1.0, 1.5, 1.0, 1.0)  # Feller, m = 1: eta = -2, k = 1/2
+    # at beta = 1, U_*(z) = E[exp(-z k Gamma_{-eta})] = (1 + z k)^eta, here 0.25
+    gap = abs(U_star(2.0, env) - (1.0 + 2.0 * env.k) ** env.eta)
+    checks.append({"check": "ustar-identity", "gap": gap, "tol": 1e-10, "pass": gap <= 1e-10})
     th1 = theta(EnvParams(1.0, -0.5 + 1e-13, 1.0, 1.0))
     th2 = theta(EnvParams(1.0, -0.5 - 1e-13, 1.0, 1.0))
     checks.append({"check": "theta-continuity", "gap": abs(th1 - th2),

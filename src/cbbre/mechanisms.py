@@ -393,26 +393,26 @@ class Stable(Mechanism):
         return {"kind": "stable", "alpha": self.alpha, "beta": self.beta, "c": self.c}
 
 
-def _grid_moment(x, d, mask, k):
-    # int x^k mu(dx) over the grid points in mask (trapezoid); 0 below two points
-    if mask.sum() < 2:
-        return 0.0
-    return float(np.trapezoid(x[mask] ** k * d[mask], x[mask]))
-
-
 @dataclass(frozen=True)
 class TabulatedMeasure:
     """Jump measure given by a density sampled on a grid, plus an optional
     tail atom carrying the mass beyond the last grid point.
 
-    Integrals against the measure are trapezoidal in the tabulated part;
-    the tail is treated as a point mass at ``tail_location``.
+    The measure is discretised once, into atoms: one at each grid point,
+    whose mass is the density there times the point's trapezoid weight
+    (half the span of its two neighbouring cells), and the tail atom at
+    ``tail_location``.  Every integral against the measure (psi, phi, the
+    drifts and variances of the jump laws) is a sum over these atoms, and
+    the simulator draws its jump sizes from them, so the SDE's compensator
+    and its jumps describe one measure.
     """
 
     x: np.ndarray
     density: np.ndarray
     tail_mass: float = 0.0
     tail_location: float = 0.0
+    atoms: np.ndarray = field(init=False, repr=False)
+    masses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, float)
@@ -427,24 +427,26 @@ class TabulatedMeasure:
             object.__setattr__(self, "tail_location", float(x[-1]))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "density", d)
-        if np.trapezoid(np.minimum(1.0, x**2) * d, x) == np.inf:
+        h = 0.5 * np.diff(x)
+        masses = d * (np.append(h, 0.0) + np.insert(h, 0, 0.0))  # trapezoid node weights
+        atoms = x
+        if self.tail_mass > 0:
+            atoms = np.append(x, self.tail_location)
+            masses = np.append(masses, self.tail_mass)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "masses", masses)
+        if self.integrate(lambda x: np.minimum(1.0, x**2)) == np.inf:
             raise ParameterError("int (1 ^ x^2) mu(dx) must be finite")
 
-    def integrate(self, f) -> float:
-        """int f(x) mu(dx) over the tabulation plus tail atom."""
-        val = float(np.trapezoid(f(self.x) * self.density, self.x))
-        if self.tail_mass > 0:
-            val += self.tail_mass * float(f(self.tail_location))
-        return val
+    def integrate(self, f):
+        """int f(x) mu(dx), the sum of f over the atoms weighted by their
+        masses; an ``f`` that returns rows (atoms last) is summed row by row,
+        each row alike (einsum, as `numerics._row_sums`)."""
+        return np.einsum("...j,j->...", f(self.atoms), self.masses)
 
     def phi(self, u):
         """int (1 - e^{-u x}) mu(dx), the immigration part of phi (u >= 0)."""
-        x = self.x
-        out = np.trapezoid(-np.expm1(-np.outer(np.atleast_1d(u), x)) * self.density,
-                           x, axis=-1).reshape(np.shape(u))
-        if self.tail_mass > 0:
-            out = out + self.tail_mass * -np.expm1(-u * self.tail_location)
-        return out
+        return self.integrate(lambda x: -np.expm1(-np.multiply.outer(u, x)))
 
     def phi_path_integral(self, grid, log_u) -> float:
         """int phi(e^{log_u(s)}) ds by the trapezoid on the grid, whose
@@ -452,24 +454,17 @@ class TabulatedMeasure:
         return float(np.trapezoid(self.phi(np.exp(log_u)), grid))
 
     def jump_law(self, eps: float) -> JumpLaw:
-        """The immigration jumps of size >= eps (the density, linear in each
-        cell, and the tail atom); the drift is the mean of those below eps."""
-        x, d = self.x, self.density
-        big = x >= eps
-        if big.sum() < 2:
-            # no tabulated mass above eps: every jump is the tail atom
-            xs, cdf = np.array([eps, eps]), np.zeros(2)
-        else:
-            xs, ds = x[big], d[big]
-            cdf = np.concatenate([[0.0], np.cumsum(0.5 * (ds[1:] + ds[:-1]) * np.diff(xs))])
-        rate = float(cdf[-1]) + self.tail_mass
-        tail = self.tail_location
+        """The immigration jumps: the atoms at or above eps, drawn by their
+        masses; the drift is the mean of the atoms below eps."""
+        big = self.atoms >= eps
+        sizes, cum = self.atoms[big], np.cumsum(self.masses[big])
+        rate = float(cum[-1]) if cum.size else 0.0
 
         def sample(rng, n):
-            u = rng.random(n) * rate
-            return np.where(u < cdf[-1], np.interp(u, cdf, xs), tail)
+            i = np.searchsorted(cum, rng.random(n) * rate, side="right")
+            return sizes[np.minimum(i, sizes.size - 1)]  # u * rate may round up to rate
 
-        return JumpLaw(rate, sample, _grid_moment(x, d, x < eps, 1))
+        return JumpLaw(rate, sample, float(self.integrate(lambda x: np.where(x < eps, x, 0.0))))
 
 
 @dataclass(frozen=True)
@@ -494,13 +489,11 @@ class GeneralCB(Mechanism):
     def _psi(self, u):
         out = -self.q - self.a * u + self.gamma2 * u**2
         if self.mu is not None:
-            x = self.mu.x
-            uu = np.atleast_1d(u)
-            ex = np.exp(-np.outer(uu, x)) - 1.0 + np.outer(uu, x) * (x < 1.0)
-            out = out + np.trapezoid(ex * self.mu.density, x, axis=-1).reshape(np.shape(u))
-            if self.mu.tail_mass > 0:
-                xt = self.mu.tail_location
-                out = out + self.mu.tail_mass * (np.exp(-u * xt) - 1.0 + u * xt * (xt < 1.0))
+            def jumps(x):
+                ux = np.multiply.outer(u, x)
+                return np.expm1(-ux) + ux * (x < 1.0)
+
+            out = out + self.mu.integrate(jumps)
         return out
 
     def _psi0(self, u):
@@ -525,10 +518,9 @@ class GeneralCB(Mechanism):
         # [eps, 1), and a Gaussian of their variance stands in for those below eps
         if self.mu is None:
             return None
-        x, d = self.mu.x, self.mu.density
-        return replace(self.mu.jump_law(eps),
-                       drift=-_grid_moment(x, d, (x >= eps) & (x < 1.0), 1),
-                       small_var=_grid_moment(x, d, x < eps, 2))
+        mid = self.mu.integrate(lambda x: np.where((x >= eps) & (x < 1.0), x, 0.0))
+        small = self.mu.integrate(lambda x: np.where(x < eps, x * x, 0.0))
+        return replace(self.mu.jump_law(eps), drift=-float(mid), small_var=float(small))
 
     def to_dict(self):
         out = {"kind": "general", "q": self.q, "a": self.a, "gamma2": self.gamma2}

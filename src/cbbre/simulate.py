@@ -47,13 +47,10 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "SimConfig",
-    "SimPath",
     "SimBatch",
-    "simulate_cbbre",
     "simulate_cbbre_batch",
     "simulate_cbibre_batch",
     "simulate_stable_jumps",
-    "detect_events",
     "martingale_diagnostics",
     "MartingaleReport",
 ]
@@ -98,17 +95,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SimPath:
-    times: np.ndarray
-    z: np.ndarray
-    env_values: np.ndarray
-    env_flavor: str
-    t0: float | None
-    t_inf: float | None
-    config: SimConfig
-
-
-@dataclass(frozen=True)
 class SimBatch:
     """Simulated states recorded at ``times`` for many paths."""
 
@@ -124,14 +110,6 @@ class SimBatch:
     @property
     def n_paths(self) -> int:
         return self.z.shape[0]
-
-    def path(self, i: int) -> SimPath:
-        return SimPath(
-            self.times, self.z[i], self.env_values[i], self.env_flavor,
-            None if np.isnan(self.t0[i]) else float(self.t0[i]),
-            None if np.isnan(self.t_inf[i]) else float(self.t_inf[i]),
-            self.config,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +370,6 @@ def simulate_cbbre_batch(mech: Mechanism, sigma: float, z0: float, T: float,
                     np.concatenate([r[3] for r in results]), cfg, scheme)
 
 
-def simulate_cbbre(mech: Mechanism, sigma: float, z0: float, T: float,
-                   cfg: SimConfig) -> SimPath:
-    """One full CBBRE trajectory."""
-    return simulate_cbbre_batch(mech, sigma, z0, T, cfg, 1).path(0)
-
-
 def simulate_cbibre_batch(mech: Mechanism, imm: ImmigrationMechanism,
                           sigma: float, z0: float, T: float, cfg: SimConfig,
                           n_paths: int, record_times=None,
@@ -405,24 +377,6 @@ def simulate_cbibre_batch(mech: Mechanism, imm: ImmigrationMechanism,
     """CBBRE plus immigration: zero is no longer absorbing."""
     return simulate_cbbre_batch(mech, sigma, z0, T, cfg, n_paths,
                                 record_times, imm=imm, chunk=chunk)
-
-
-def detect_events(path: SimPath):
-    """(T0, T_infinity) from a recorded trajectory: first passage below
-    eps_abs and first passage above m_expl (or an infinite value)."""
-    z = np.asarray(path.z, float)
-    t = np.asarray(path.times, float)
-    cfg = path.config
-    t0 = t_inf = None
-    hit0 = np.nonzero(z < cfg.eps_abs)[0]
-    hit_inf = np.nonzero(~np.isfinite(z) | (z > cfg.m_expl))[0]
-    i0 = hit0[0] if hit0.size else None
-    ii = hit_inf[0] if hit_inf.size else None
-    if i0 is not None and (ii is None or i0 < ii):
-        t0 = float(t[i0])
-    elif ii is not None:
-        t_inf = float(t[ii])
-    return t0, t_inf
 
 
 # ---------------------------------------------------------------------------

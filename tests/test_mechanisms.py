@@ -175,7 +175,8 @@ class TestMechanismAnswers:
         x = np.linspace(0.5, 2.0, 301)
         mech = GeneralCB(0.0, 0.2, 1.0, TabulatedMeasure(x, np.ones_like(x)))
         growth = mech.sde_coefficients()[3]
-        # a + int_1^2 x dx; the trapezoid rule smears the step at x = 1 over a cell
+        # a + int_1^2 x dx, and h/2 = 0.0025 more: the grid point x = 1 is an
+        # atom with its full node weight h, half of it from the cell below 1
         assert growth == pytest.approx(0.2 + 1.5, abs=0.005)
         assert growth == -mech.psi_prime_at_zero()
 

@@ -24,10 +24,7 @@ from cbbre.numerics import _row_blocks
 from cbbre.simulate import (
     EULER,
     SimConfig,
-    SimPath,
-    detect_events,
     martingale_diagnostics,
-    simulate_cbbre,
     simulate_cbbre_batch,
     simulate_cbibre_batch,
     simulate_stable_jumps,
@@ -235,30 +232,6 @@ class TestStableJumps:
         assert np.isfinite(b.t_inf).mean() > 0.05
 
 
-class TestEvents:
-    def test_flat_zero_path(self):
-        cfg = SimConfig(seed=0)
-        p = SimPath(np.linspace(0, 1, 5), np.zeros(5), np.zeros(5), "K0",
-                    None, None, cfg)
-        t0, tinf = detect_events(p)
-        assert t0 == 0.0 and tinf is None
-
-    def test_threshold_crossing(self):
-        cfg = SimConfig(seed=0, m_expl=10.0)
-        times = np.linspace(0, 1, 11)
-        z = np.linspace(1, 21, 11)  # crosses 10 at t = 0.5
-        p = SimPath(times, z, np.zeros(11), "K0", None, None, cfg)
-        t0, tinf = detect_events(p)
-        assert t0 is None
-        assert abs(tinf - 0.5) <= 0.1 + 1e-12
-
-    def test_single_path_api(self):
-        cfg = SimConfig(dt=0.01, seed=11)
-        p = simulate_cbbre(Feller(-0.5, 1.0), 1.0, 1.0, 1.0, cfg)
-        assert p.times.size == 101
-        assert np.all(np.isfinite(p.env_values))
-
-
 class TestImmigration:
     def test_zero_not_absorbing(self):
         cfg = SimConfig(dt=2e-3, seed=12)
@@ -296,7 +269,31 @@ def _tabulated(scale, tail_mass, tail_location):
     return TabulatedMeasure(x, scale * np.exp(-x), tail_mass, tail_location)
 
 
+class _Midpoints:
+    """A stand-in rng whose ``random(n)`` is the stratified sample (i + 1/2)/n."""
+
+    def random(self, n):
+        return (np.arange(n) + 0.5) / n
+
+
 class TestTabulatedJumps:
+    @pytest.mark.parametrize("eps", [1e-3, 0.05])
+    def test_jumps_and_drift_describe_one_measure(self, eps):
+        # the simulated jumps plus the law's drift grow the mass at the rate
+        # that psi'(0+) (branching) and phi'(0) = int x nu(dx) (immigration)
+        # state; 2e6 stratified draws resolve the mean size to ~1e-7
+        n = 2_000_000
+        mech = GeneralCB(0.0, 0.3, 0.5, _tabulated(0.5, 0.1, 4.0))
+        nu = _tabulated(1.0, 0.2, 3.5)
+        for measure, law, target, base in [
+                (mech.mu, mech.jump_law(eps), -mech.psi_prime_at_zero(), mech.a),
+                (nu, nu.jump_law(eps), nu.integrate(lambda x: x), 0.0)]:
+            sizes = law.sample(_Midpoints(), n)
+            growth = base + law.drift + law.rate * sizes.mean()
+            assert growth == pytest.approx(target, rel=1e-6, abs=0.0)
+            support = np.append(measure.x[measure.x >= eps], measure.tail_location)
+            assert np.isin(sizes, support).all()
+
     def test_general_mechanism_mean_is_martingale(self):
         # E[Z_T e^{-K0_T}] = z0: the thinned jumps, the compensating drift of
         # [eps, 1) and the K0 drift -psi'(0+) must agree
