@@ -125,9 +125,7 @@ def cbibre_longterm(z: float, env: EnvParams, beta: float, c: float,
                                                   "T": horizon, "n_steps": n_steps}))
         limit = _stable_cbi_limit_transform(z, lam, env.m, env.sigma, beta, c, kappa)
         return CbibreLongterm("converges", limit, ests, [], lam, z)
-    # m <= 0: medians of simulated Z_T must grow.  A coarse jump threshold
-    # keeps the thinning rate (~ eps^-(1+beta) per unit mass) affordable;
-    # the removed jumps are moment-matched, which medians tolerate.
+    # m <= 0: medians of simulated Z_T must grow
     from .mechanisms import Stable
     from .simulate import SimConfig, simulate_cbibre_batch
 
@@ -135,7 +133,7 @@ def cbibre_longterm(z: float, env: EnvParams, beta: float, c: float,
     imm = ImmigrationMechanism(d=0.0, nu=StableImmigration(beta, kappa))
     medians = []
     for i, T in enumerate((4.0, 8.0, 16.0)):
-        cfg = SimConfig(dt=0.01, eps_jump=0.05, seed=seed + i)
+        cfg = SimConfig(dt=0.01, seed=seed + i)
         batch = simulate_cbibre_batch(mech, imm, env.sigma, z, T, cfg,
                                       max(1500, n_paths // 10), record_times=[T])
         zT = batch.z[:, -1]

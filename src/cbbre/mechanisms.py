@@ -45,6 +45,7 @@ __all__ = [
     "TabulatedMeasure",
     "GeneralCB",
     "JumpLaw",
+    "StableLaw",
     "NEVEU_DRIFT",
     "eval_psi",
     "eval_psi0",
@@ -67,6 +68,11 @@ EPS_REGIME = 1e-12
 NEVEU_DRIFT = 1.0 - float(np.euler_gamma)
 
 
+#: expected jump count per path-step beyond which `JumpLaw.increment`
+#: declares a path exploded
+_LAM_MAX = 1e5
+
+
 @dataclass(frozen=True)
 class JumpLaw:
     """The jumps of size >= eps, as the simulator thins them.
@@ -82,6 +88,53 @@ class JumpLaw:
     sample: Callable
     drift: float
     small_var: float = 0.0
+
+    def increment(self, rng, mass, dt):
+        """One Euler step of these jumps carried by ``mass`` per path: a
+        Poisson count per path, the summed sizes, the drift and, for
+        compensated small jumps, a Gaussian of their variance.  A path whose
+        expected count exceeds `_LAM_MAX` gets +inf."""
+        rates = mass * self.rate * dt
+        exploded = rates > _LAM_MAX
+        counts = rng.poisson(np.where(exploded, 0.0, rates))
+        total = int(counts.sum())
+        sums = np.zeros_like(rates)
+        if total > 0:
+            sizes = self.sample(rng, total)  # before the owners: ~5% faster on big steps
+            np.add.at(sums, np.repeat(np.arange(rates.size), counts), sizes)
+        inc = sums + mass * dt * self.drift
+        if self.small_var > 0:
+            inc = inc + rng.normal(0.0, 1.0, mass.size) * np.sqrt(mass * dt * self.small_var)
+        inc[exploded] = np.inf
+        return inc
+
+
+@dataclass(frozen=True)
+class StableLaw:
+    """Jumps whose sum over an Euler step has an exact stable law.
+
+    With the state frozen, ``mass`` carries over dt the increment
+    (mass dt)^(1/index) X, where E[e^(-lam X)] = exp(coef lam^index): index
+    in (1, 2) and coef > 0 for compensated jumps, index in (0, 1) and
+    coef < 0 for uncompensated ones.  One draw per path-step; nothing is
+    truncated.
+    """
+
+    index: float
+    coef: float
+
+    def increment(self, rng, mass, dt):
+        a = self.index
+        scale = (abs(self.coef) * mass * dt) ** (1.0 / a)
+        if a < 1.0:
+            return scale * np.exp(_log_positive_stable(a, 1.0 - a, rng, mass.size))
+        # Chambers, Mallows and Stuck (1976), totally skewed to the right,
+        # without the factor |cos(pi a/2)|^(1/a) of their unit scale
+        v = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, mass.size)
+        w = rng.standard_exponential(mass.size)
+        av = a * (v + (0.5 * math.pi - math.pi / a))
+        return (scale * np.sin(av) / np.cos(v) ** (1.0 / a)
+                * (np.cos(v - av) / w) ** ((1.0 - a) / a))
 
 
 def _first_crossing(K, log_level, dt):
@@ -126,14 +179,6 @@ def _poisson_counts(rng, mean):
     return count
 
 
-def _pareto_sampler(eps: float, index: float):
-    # inverse of the tail P(size > x) = (x/eps)^-index, x >= eps
-    def sample(rng, n):
-        return eps * rng.random(n) ** (-1.0 / index)
-
-    return sample
-
-
 class Mechanism:
     """A branching mechanism.  Subclasses define ``_psi`` and ``_psi0`` (on
     arrays or Python floats that ``eval_psi``/``eval_psi0`` have checked),
@@ -163,8 +208,10 @@ class Mechanism:
         for infinite-mean mechanisms, whose recorded path is K."""
         raise NotImplementedError
 
-    def jump_law(self, eps: float) -> JumpLaw | None:
-        """The jumps of size >= eps per unit mass; None without jumps."""
+    def jump_law(self, eps: float) -> JumpLaw | StableLaw | None:
+        """The jumps per unit mass as an Euler step draws them: a `JumpLaw`
+        thinned at eps, a `StableLaw` (which has no use for eps), or None
+        without jumps."""
         return None
 
     #: ``exact_step(z, env, dt, rng, d=0.0)`` draws Z at the end of one
@@ -214,10 +261,11 @@ class Neveu(Mechanism):
         return -NEVEU_DRIFT, 0.0, "K", None
 
     def jump_law(self, eps):
-        # mu(dx) = x^-2 dx: Pareto index 1 above eps, compensation of [eps, 1)
-        # only, a Gaussian for the compensated small jumps (variance eps)
+        # mu(dx) = x^-2 dx: Pareto sizes eps/U of index 1 above eps,
+        # compensation of [eps, 1) only, a Gaussian for the compensated small
+        # jumps (variance eps)
         comp = math.log(1.0 / eps) if eps < 1.0 else 0.0
-        return JumpLaw(1.0 / eps, _pareto_sampler(eps, 1.0), -comp, eps)
+        return JumpLaw(1.0 / eps, lambda rng, n: eps / rng.random(n), -comp, eps)
 
     def closed_form(self, lam, t, env):
         from .flow import closed_form_neveu
@@ -366,20 +414,11 @@ class Stable(Mechanism):
         return self.alpha, self.c if self.beta == 1.0 else 0.0, "K0", self.alpha
 
     def jump_law(self, eps):
-        # beta in (0,1): the SDE compensates every jump, so the drift removes
-        # the simulated ones' mean and a Gaussian stands in for the small
-        # ones; beta in (-1,0): nothing is compensated, the small jumps
-        # become their mean
-        b = self.beta
-        if b == 1.0:
+        # the jump part of psi is c u^(1+beta), compensated for beta > 0 and
+        # not for beta < 0: one stable increment per path-step
+        if self.beta == 1.0:
             return None
-        ci = self.jump_intensity_const
-        rate = ci * eps ** (-(1.0 + b)) / (1.0 + b)
-        sample = _pareto_sampler(eps, 1.0 + b)
-        if b > 0:
-            return JumpLaw(rate, sample, -(ci * eps ** (-b) / b),
-                           ci * eps ** (1.0 - b) / (1.0 - b))
-        return JumpLaw(rate, sample, -ci * eps ** (-b) / b)
+        return StableLaw(1.0 + self.beta, self.c)
 
     def closed_form(self, lam, t, env):
         from .flow import closed_form_stable
@@ -543,10 +582,6 @@ class StableImmigration:
         if self.kappa <= 0:
             raise ParameterError("kappa must be positive")
 
-    @property
-    def intensity_const(self) -> float:
-        return float(self.kappa * self.beta / _gamma(1.0 - self.beta))
-
     def phi(self, u):
         """kappa * u^beta, the immigration part of phi (u >= 0)."""
         return self.kappa * u**self.beta
@@ -555,11 +590,10 @@ class StableImmigration:
         """int kappa e^{beta log_u(s)} ds, exact for piecewise-linear log_u."""
         return self.kappa * integral_exp_linear(grid, self.beta * log_u)
 
-    def jump_law(self, eps: float) -> JumpLaw:
-        """Pareto jumps of index beta above eps; the small ones by their mean."""
-        b, ci = self.beta, self.intensity_const
-        return JumpLaw(ci * eps ** (-b) / b, _pareto_sampler(eps, b),
-                       ci * eps ** (1.0 - b) / (1.0 - b))
+    def jump_law(self, eps: float) -> StableLaw:
+        """The immigration jumps, positive stable of index beta: over dt they
+        sum to (kappa dt)^(1/beta) S, E[e^(-lam S)] = exp(-lam^beta)."""
+        return StableLaw(self.beta, -self.kappa)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,17 @@ Euler (``"euler-full-truncation"``) is explicit with full truncation: all
 coefficients are evaluated at max(Z, 0), so states may briefly dip below
 zero but are clamped back each step.  The mechanism supplies the SDE
 coefficients (``Mechanism.sde_coefficients``) and, for the branching jumps
-and the immigration measure alike, a ``JumpLaw`` above the size threshold
-``eps_jump``.  One routine thins every such law: a Poisson count per path,
-sizes from the law's sampler, then the law's drift (the mean of the removed
-small jumps when the SDE does not compensate them, less the compensator of
-the simulated ones when it does) and, for compensated small jumps, a
-variance-matched Gaussian.  Record times must lie on the simulation grid.
+and the immigration measure alike, a jump law whose ``increment(rng, mass,
+dt)`` draws one step's jumps for every path.  The stable family (``Stable``
+and ``StableImmigration``) has a ``StableLaw``: with the state frozen, a
+step's jumps sum to one exact stable variable per path, drawn whole.  The
+other laws (Neveu, ``GeneralCB``, a tabulated immigration measure) are
+``JumpLaw``s thinned at the size threshold ``eps_jump``: a Poisson count per
+path, sizes from the law's sampler, then the law's drift (the mean of the
+removed small jumps when the SDE does not compensate them, less the
+compensator of the simulated ones when it does) and, for compensated small
+jumps, a variance-matched Gaussian.  Record times must lie on the
+simulation grid.
 
 In both schemes the environment increments are drawn once per step and
 shared between the state and the returned environment path, so formula
@@ -41,7 +46,7 @@ import numpy as np
 from . import rng as _rng
 from .environment import _increment_blocks
 from .errors import ParameterError, UnsupportedMechanismError
-from .mechanisms import ImmigrationMechanism, JumpLaw, Mechanism, Stable
+from .mechanisms import ImmigrationMechanism, Mechanism
 
 logger = logging.getLogger(__name__)
 
@@ -50,13 +55,9 @@ __all__ = [
     "SimBatch",
     "simulate_cbbre_batch",
     "simulate_cbibre_batch",
-    "simulate_stable_jumps",
     "martingale_diagnostics",
     "MartingaleReport",
 ]
-
-# expected jump count per path-step beyond which a path is declared exploded
-_LAM_MAX = 1e5
 
 EULER = "euler-full-truncation"
 SCHEMES = ("auto", EULER)
@@ -67,14 +68,15 @@ class SimConfig:
     """Simulation settings.
 
     ``scheme``: ``"auto"`` (the exact sampler where it applies, Euler
-    elsewhere) or ``"euler-full-truncation"``.  ``eps_jump`` (jump truncation),
-    ``eps_abs`` (absorption level) and ``m_expl`` (explosion level) are Euler
-    thresholds; the exact sampler ignores them: its zero is exact absorption,
-    and a large state is a value, not an explosion.  The exact sampler makes
-    one approximation: a Feller Poisson count whose mean exceeds 1e15 (numpy
-    refuses means above ~9.2e18) is drawn from its normal approximation,
-    rounded and at least 0, whose relative error, about mean^(-1/2), is at
-    most 3.2e-8.
+    elsewhere) or ``"euler-full-truncation"``.  ``eps_jump`` (the truncation
+    of thinned jump laws; the stable family's increments are exact and
+    ignore it), ``eps_abs`` (absorption level) and ``m_expl`` (explosion
+    level) are Euler thresholds; the exact sampler ignores them: its zero is
+    exact absorption, and a large state is a value, not an explosion.  The
+    exact sampler makes one approximation: a Feller Poisson count whose mean
+    exceeds 1e15 (numpy refuses means above ~9.2e18) is drawn from its
+    normal approximation, rounded and at least 0, whose relative error,
+    about mean^(-1/2), is at most 3.2e-8.
     """
 
     dt: float = 1e-3
@@ -110,49 +112,6 @@ class SimBatch:
     @property
     def n_paths(self) -> int:
         return self.z.shape[0]
-
-
-# ---------------------------------------------------------------------------
-# Jump machinery
-# ---------------------------------------------------------------------------
-
-
-def _thinned_jumps(rng, rates, sample):
-    """Summed jump sizes per path, drawn by thinning.
-
-    rates: expected counts per path this step; ``sample(rng, n)`` draws the
-    sizes.  Returns (sums, exploded) where exploded marks paths whose
-    expected count exceeded the resolution cap.
-    """
-    exploded = rates > _LAM_MAX
-    counts = rng.poisson(np.where(exploded, 0.0, rates))
-    total = int(counts.sum())
-    sums = np.zeros_like(rates)
-    if total > 0:
-        sizes = sample(rng, total)  # before the owners: ~5% faster on big steps
-        np.add.at(sums, np.repeat(np.arange(rates.size), counts), sizes)
-    return sums, exploded
-
-
-def _jump_increment(law: JumpLaw, rng, mass, dt):
-    """One Euler step of the jumps of ``law`` carried by ``mass`` per path:
-    the thinned jumps, the law's drift and, for compensated small jumps, a
-    Gaussian of their variance.  A path past the thinning cap gets +inf."""
-    sums, exploded = _thinned_jumps(rng, mass * law.rate * dt, law.sample)
-    inc = sums + mass * dt * law.drift
-    if law.small_var > 0:
-        inc = inc + rng.normal(0.0, 1.0, mass.size) * np.sqrt(mass * dt * law.small_var)
-    inc[exploded] = np.inf
-    return inc
-
-
-def simulate_stable_jumps(state, dt: float, beta: float, c: float,
-                          eps_jump: float, rng) -> np.ndarray:
-    """One Euler step of the stable jump integral for frozen state(s): the
-    jumps of ``Stable(0, beta, c).jump_law(eps_jump)`` as the simulator
-    takes them."""
-    zp = np.maximum(np.atleast_1d(np.asarray(state, float)), 0.0)
-    return _jump_increment(Stable(0.0, beta, c).jump_law(eps_jump), rng, zp, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +186,7 @@ def _euler_states(mech, sigma, z, cfg, gen, imm, dt, n_steps, k_drift, absorbing
     k_env = np.zeros(n)
     if driving is None:
         # bulk-drawn per chunk: per-step Generator calls dominate otherwise
-        all_dB = gen.normal(0.0, sq_dt, (n, n_steps))
+        all_dB = gen.normal(0.0, sq_dt, (n, n_steps)) if gamma2 > 0 else None
         all_dBe = gen.normal(0.0, sq_dt, (n, n_steps))
     else:
         all_dB, all_dBe = driving
@@ -242,19 +201,20 @@ def _euler_states(mech, sigma, z, cfg, gen, imm, dt, n_steps, k_drift, absorbing
             # the draws are stored path by path; a block of steps is copied
             # step by step so that each step reads contiguous memory
             cols = slice(step_i - 1, step_i - 1 + _STEP_BLOCK)
-            blk_B = np.ascontiguousarray(all_dB[:, cols].T)
             blk_Be = np.ascontiguousarray(all_dBe[:, cols].T)
-        dB, dBe = blk_B[b], blk_Be[b]
+            if gamma2 > 0:
+                blk_B = np.ascontiguousarray(all_dB[:, cols].T)
+        dBe = blk_Be[b]
         zp = np.maximum(z, 0.0)
         if not all_live:
             zp = np.where(live, zp, 0.0)  # frozen paths: no flow
         dz = alpha * zp * dt + sigma * zp * dBe
         if gamma2 > 0:
-            dz = dz + np.sqrt(2.0 * gamma2 * zp) * dB
+            dz = dz + np.sqrt(2.0 * gamma2 * zp) * blk_B[b]
         if jumps is not None:
-            dz = dz + _jump_increment(jumps, gen, zp, dt)
+            dz = dz + jumps.increment(gen, zp, dt)
         if imm_jumps is not None:
-            dz = dz + _jump_increment(imm_jumps, gen, per_path, dt)
+            dz = dz + imm_jumps.increment(gen, per_path, dt)
         dz = dz + imm_drift * dt
         z_new = np.maximum(z + dz, 0.0)
         if not all_live:

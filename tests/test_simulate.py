@@ -1,9 +1,9 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import gamma as gamma_fn
 from scipy.stats import ks_2samp
 
 from cbbre import rng as _rng
@@ -27,7 +27,6 @@ from cbbre.simulate import (
     martingale_diagnostics,
     simulate_cbbre_batch,
     simulate_cbibre_batch,
-    simulate_stable_jumps,
 )
 
 
@@ -180,44 +179,40 @@ class TestMeanGrowth:
 class TestStableJumps:
     def test_zero_state_no_jumps(self):
         gen = _rng.stream(0, 0)
-        inc = simulate_stable_jumps(np.zeros(100), 0.01, 0.5, 1.0, 0.1, gen)
+        inc = Stable(0.0, 0.5, 1.0).jump_law(0.1).increment(gen, np.zeros(100), 0.01)
         assert np.all(inc == 0.0)
 
-    def test_poisson_presence_oracle(self):
-        # beta < 0 has no Gaussian piece: subtracting the deterministic
-        # small-jump drift isolates the thinned tail, whose presence
-        # frequency must match 1 - exp(-Z dt int_eps^inf mu)
-        beta, c, eps, z, dt = -0.5, -1.0, 0.1, 2.0, 0.05
-        ci = c * beta * (beta + 1) / gamma_fn(1 - beta)
-        lam = z * dt * ci * eps ** (-(1 + beta)) / (1 + beta)
-        small_drift = z * dt * (-ci * eps ** (-beta) / beta)
-        gen = _rng.stream(2, 0)
-        n = 300000
-        inc = simulate_stable_jumps(np.full(n, z), dt, beta, c, eps, gen)
-        freq = float((inc > small_drift + 1e-12).mean())
-        target = -math.expm1(-lam)
-        se = math.sqrt(target * (1 - target) / n)
-        assert abs(freq - target) <= 3 * se
+    @pytest.mark.parametrize("law,z,index,coef,seed", [
+        pytest.param(Stable(0.0, 0.5, 1.0).jump_law(1e-3), 2.0, 1.5, 1.0, 4,
+                     id="compensated"),
+        pytest.param(Stable(0.0, -0.5, -1.0).jump_law(1e-3), 1.5, 0.5, -1.0, 5,
+                     id="uncompensated"),
+        pytest.param(Stable(0.0, 0.3, 0.7).jump_law(1e-3), 2.0, 1.3, 0.7, 3,
+                     id="compensated-0.3"),
+        pytest.param(StableImmigration(0.5, 1.0).jump_law(1e-3), 1.0, 0.5, -1.0, 7,
+                     id="immigration")])
+    def test_increment_laplace_oracle(self, law, z, index, coef, seed):
+        # one Euler step's jumps carried by the frozen mass z are exactly
+        # stable, whatever eps: the jump part of psi is c u^(1+beta), that of
+        # phi is kappa u^beta, so E[e^(-lam inc)] = exp(z dt coef lam^index)
+        # with (index, coef) = (1 + beta, c) or (beta, -kappa)
+        dt, n = 0.01, 400000
+        inc = law.increment(_rng.stream(seed, 0), np.full(n, z), dt)
+        for lam in (0.5, 2.0, 8.0):
+            w = np.exp(-lam * inc)
+            se = w.std(ddof=1) / math.sqrt(n)
+            assert abs(w.mean() - math.exp(z * dt * coef * lam**index)) <= 4 * se, lam
 
-    def test_compensated_increment_mean_zero(self):
-        # beta > 0: compensation is exact in expectation
-        gen = _rng.stream(4, 0)
-        z, dt = 2.0, 0.01
-        inc = simulate_stable_jumps(np.full(400000, z), dt, 0.5, 1.0, 1e-2, gen)
-        se = inc.std(ddof=1) / math.sqrt(inc.size)
-        assert abs(inc.mean()) <= 3 * se
-
-    def test_uncompensated_mass_oracle(self):
-        # beta < 0: mean simulated mass (finite part) matches
-        # Z dt (int_eps^L z mu(dz) + small-jump mean) for the truncated view
-        beta, c, eps, z, dt = -0.5, -1.0, 0.05, 1.5, 0.01
-        ci = c * beta * (beta + 1) / gamma_fn(1 - beta)
-        gen = _rng.stream(5, 0)
-        inc = simulate_stable_jumps(np.full(400000, z), dt, beta, c, eps, gen)
-        # infinite-mean tail: compare medians instead of means on the big-jump
-        # part; the deterministic small-jump drift must match exactly
-        small_mean = -ci * eps ** (-beta) / beta
-        assert np.min(inc) >= z * dt * small_mean - 1e-15
+    def test_eps_jump_plays_no_part(self):
+        # branching and immigration jumps are exact stable increments
+        mech = Stable(0.3, 0.5, 1.0)
+        imm = ImmigrationMechanism(0.0, StableImmigration(0.5, 1.0))
+        a, b = (simulate_cbibre_batch(mech, imm, 1.0, 1.0, 1.0,
+                                      SimConfig(dt=0.01, eps_jump=eps, seed=9), 500,
+                                      record_times=[0.5, 1.0])
+                for eps in (1e-3, 0.05))
+        assert a.scheme == b.scheme == EULER
+        assert np.array_equal(a.z, b.z)
 
     def test_conservative_runs_never_explode(self):
         cfg = SimConfig(dt=5e-3, seed=6, m_expl=1e6)
@@ -328,6 +323,20 @@ class TestTabulatedJumps:
 
 
 class TestNeveuSimulation:
+    def test_poisson_presence_oracle(self):
+        # with the Gaussian stand-in for the small jumps switched off, the
+        # deterministic drift isolates the thinned jumps, whose presence
+        # frequency must match 1 - exp(-Z dt int_eps^inf mu)
+        eps, z, dt = 0.1, 2.0, 0.05
+        law = replace(Neveu().jump_law(eps), small_var=0.0)
+        small_drift = z * dt * law.drift
+        n = 300000
+        inc = law.increment(_rng.stream(2, 0), np.full(n, z), dt)
+        freq = float((inc > small_drift + 1e-12).mean())
+        target = -math.expm1(-z * dt / eps)
+        se = math.sqrt(target * (1 - target) / n)
+        assert abs(freq - target) <= 3 * se
+
     def test_no_absorption_short_horizon(self):
         cfg = SimConfig(dt=1e-3, seed=16)
         b = simulate_cbbre_batch(Neveu(), 1.0, 1.0, 1.0, cfg, 2000,
