@@ -19,16 +19,22 @@ Five things live here because several modules need them:
   negative powers, exactly 1 at q = 0), whose one-point case is
   `gamma_power_laplace`; the row sweeps of other modules sum on it too,
 * the scipy functions the package calls: Gamma and ln Gamma (`_gamma`,
-  `_gammaln`) and the ``hyperu`` fallback of `u_half`, all from
+  `_gammaln`) and the ``hyperu`` fallback of `u_half` (`_hyperu`), all from
   ``scipy.special``, which is imported when one of them is first called,
   so ``import cbbre`` loads numpy only.
 
 The confluent kernel has three zones in w: the Kummer connection series
 for small ``w``, a piecewise Chebyshev fit of log U in log w (built once per
 ``a`` from a Laplace-integral quadrature) in the middle, and the divergent
-2F0 asymptotic series for large ``w``.  Both series stop at the terms each
-band of ``w`` needs.  Accuracy is ~1e-13 relative; other ``a`` fall back to
-``scipy.special.hyperu``.
+2F0 asymptotic series for large ``w``.  Each call splits its points into
+the zones once.  Both series stop at the terms each band of ``w`` needs
+(`_power_sums`): most points need no term or one, and two comparisons
+against the first two cuts settle them; only the rest are sorted and
+grouped by their term count.  Every point sums its own terms in ascending
+order, so no layout, order or block size of the points changes a value.
+Accuracy is ~1e-13 relative; other ``a`` fall back to
+``scipy.special.hyperu``.  A negative or NaN argument raises
+`ParameterError`.
 """
 from __future__ import annotations
 
@@ -36,6 +42,8 @@ import functools
 import math
 
 import numpy as np
+
+from .errors import ParameterError
 
 __all__ = [
     "gl_panels",
@@ -65,6 +73,13 @@ def _gammaln(x):
     from scipy import special
 
     return special.gammaln(x)
+
+
+def _hyperu(a, w):
+    """U(a, 1/2, w), by scipy.special (imported on first use)."""
+    from scipy import special
+
+    return special.hyperu(a, 0.5, w)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +172,10 @@ class _Kernel:
                           (tol / self.c2) ** (1.0 / k))
         self.kummer_cuts = np.maximum.accumulate(cuts)
         # asymptotic 2F0(a, a+1/2;; -1/w): term k is (-1)^k d_k / w^k and is
-        # needed only where w is below a cut that falls with k (stored
-        # ascending, so the last cut belongs to term 1)
+        # needed only where w is below a cut that falls with k; negated, the
+        # cuts rise with k and term k is needed where -w exceeds asym_cuts[k-1]
         self.d = np.cumprod((a + k - 1.0) * (a + k - 0.5) / k)
-        cuts = np.minimum.accumulate((self.d / _TERM_EPS) ** (1.0 / k))
-        self.asym_cuts = cuts[::-1]
+        self.asym_cuts = -np.minimum.accumulate((self.d / _TERM_EPS) ** (1.0 / k))
         self.poly = None  # the fit is built on first use
 
     def _fit(self):
@@ -175,9 +189,8 @@ class _Kernel:
         x = np.cos(np.pi * (np.arange(_FIT_DEGREE + 1) + 0.5) / (_FIT_DEGREE + 1))
         u = lo + h * (np.arange(n)[:, None] + 0.5 * (x + 1.0))
         f = np.log(_u_quad_logt(self.a, np.exp(u.ravel()))) + self.a * u.ravel()
-        cheb = np.polynomial.chebyshev
-        c = cheb.chebfit(x, f.reshape(n, -1).T, _FIT_DEGREE)
-        self.poly = np.array([cheb.cheb2poly(c[:, j]) for j in range(n)]).T
+        c = np.polynomial.chebyshev.chebfit(x, f.reshape(n, -1).T, _FIT_DEGREE)
+        self.poly = _cheb2poly_columns(c)
         self.fit_lo, self.fit_scale, self.n_panels = lo, 1.0 / h, n
 
     def fitted(self, w):
@@ -194,36 +207,104 @@ class _Kernel:
         return np.exp(acc - self.a * u)
 
     def kummer_diff(self, w):
-        # U(a,1/2,w) - u0
-        m1, m2 = _power_sums(w, np.searchsorted(self.kummer_cuts, w), (self.c1, self.c2))
-        return self.u0 * m1 - self.u1 * np.sqrt(w) * (1.0 + m2)
+        # U(a,1/2,w) - u0 = u0 m1 - u1 sqrt(w) (1 + m2), in place
+        m1, m2 = _power_sums(w, w, self.kummer_cuts, (self.c1, self.c2))
+        m1 *= self.u0
+        r = np.sqrt(w)
+        r *= self.u1
+        m2 += 1.0
+        r *= m2
+        m1 -= r
+        return m1
 
     def asymptotic(self, w):
-        # w^-a 2F0(a, a+1/2;; -1/w)
-        n = _N_TERMS - np.searchsorted(self.asym_cuts, w, side="right")
-        (s,) = _power_sums(-1.0 / w, n, (self.d,))
-        return np.exp(-self.a * np.log(w)) * (1.0 + s)
+        # w^-a 2F0(a, a+1/2;; -1/w) = w^-a (1 + s), in place
+        (s,) = _power_sums(-1.0 / w, -w, self.asym_cuts, (self.d,))
+        r = np.log(w)
+        r *= -self.a
+        np.exp(r, out=r)
+        s += 1.0
+        r *= s
+        return r
+
+    def values(self, w, diff: bool):
+        """U(a, 1/2, w), or U - u0 when ``diff``, each zone evaluated once;
+        above the Kummer zone an ``a`` beyond the fast kernel takes hyperu."""
+        out = np.empty_like(w)
+        small = w < _SERIES_MAX_W
+        if has_fast_kernel(self.a):
+            big = w >= _wlim(self.a)
+            zones = ((~(small | big), self.fitted), (big, self.asymptotic))
+        else:
+            zones = ((~small, functools.partial(_hyperu, self.a)),)
+        if small.any():
+            v = self.kummer_diff(w[small])
+            if not diff:
+                v += self.u0
+            out[small] = v
+        for zone, evaluate in zones:
+            if zone.any():
+                v = evaluate(w[zone])
+                if diff:
+                    v -= self.u0
+                out[zone] = v
+        return out
 
 
-def _power_sums(x, n_terms, coefs):
-    """sum_{k=1}^{n_terms[i]} c[k-1] x_i^k for each coefficient row c.
+def _cheb2poly_columns(c):
+    """`np.polynomial.chebyshev.cheb2poly` of every column of c (3 rows at
+    least) at once: its recurrence, operation for operation, on rows that
+    hold all columns."""
+    def mulx(p):  # polymulx: p times x, led by p[0] * 0 as numpy does
+        return np.concatenate([p[:1] * 0, p])
 
-    Points are grouped by the number of terms they need, so term k runs
-    only on the points that need it rather than on all of them under a
-    mask.
+    c0, c1 = c[-2:-1], c[-1:]
+    for i in range(len(c) - 1, 1, -1):
+        tmp = c0
+        c0 = -c1
+        c0[0] += c[i - 2]
+        c1 = mulx(c1) * 2
+        c1[: len(tmp)] += tmp
+    out = mulx(c1)
+    out[: len(c0)] += c0
+    return out
+
+
+def _power_sums(x, key, cuts, coefs):
+    """sum_{k=1}^{n_i} c[k-1] x_i^k for each coefficient row c, where point i
+    needs the n_i terms whose ascending ``cuts`` lie below ``key[i]``.
+
+    Most points need no term or one, and two comparisons settle them: 0,
+    or c[0] x_i.  The rest are grouped by the number of terms they need, so
+    term k runs only on the points that need it rather than on all of them
+    under a mask, and each row of sums is scattered back on its own.  Every
+    point sums its own terms in ascending order, so no layout or block size
+    changes a value.
     """
-    n_terms = n_terms.astype(np.int8)  # small keys: numpy sorts them in linear time
-    order = np.argsort(n_terms, kind="stable")
-    starts = np.searchsorted(n_terms[order], np.arange(1, n_terms.max(initial=0) + 1))
-    xs = x[order]
-    p = np.ones_like(xs)
-    sums = np.zeros((len(coefs), xs.size))
-    for k, s in enumerate(starts):
-        p[s:] *= xs[s:]
-        for row, c in zip(sums, coefs):
-            row[s:] += c[k] * p[s:]
-    out = np.empty_like(sums)
-    out[:, order] = sums
+    out = np.zeros((len(coefs), x.size))
+    some = key > cuts[0]
+    many = key > cuts[1]
+    one = some ^ many  # cuts ascend, so many implies some
+    if one.any():
+        x1 = x[one]
+        for row, c in zip(out, coefs):
+            row[one] = c[0] * x1
+    pos = np.flatnonzero(many)
+    if pos.size:
+        # small keys: numpy sorts them in linear time
+        n_terms = np.searchsorted(cuts, key[pos]).astype(np.int8)
+        order = np.argsort(n_terms, kind="stable")
+        pos = pos[order]
+        starts = np.searchsorted(n_terms[order], np.arange(1, n_terms.max() + 1))
+        xs = x[pos]
+        p = np.ones_like(xs)
+        sums = np.zeros((len(coefs), xs.size))
+        for k, s in enumerate(starts):
+            p[s:] *= xs[s:]
+            for row, c in zip(sums, coefs):
+                row[s:] += c[k] * p[s:]
+        for row, s in zip(out, sums):
+            row[pos] = s
     return out
 
 
@@ -250,6 +331,15 @@ def has_fast_kernel(a: float) -> bool:
     return 0.0 < a <= _KERNEL_MAX_A
 
 
+def _kernel_argument(w):
+    """w as a float array, refused unless every value is >= 0 (NaN is not)."""
+    w = np.asarray(w, float)
+    if w.size and not w.min() >= 0.0:  # one reduction; NaN propagates to it
+        bad = float(w[~(w >= 0.0)].flat[0])
+        raise ParameterError(f"U(a, 1/2, w) needs w >= 0, got w = {bad!r}")
+    return w
+
+
 def u_half(a: float, w):
     """U(a, 1/2, w) for w >= 0, vectorized.
 
@@ -258,25 +348,12 @@ def u_half(a: float, w):
     per ``a`` from the Laplace integral) up to 60 + 8a^2, and the 2F0
     asymptotic series beyond.  Each series stops at the terms its band of w
     needs.  The relative error is below ~1e-13.  Other ``a`` go to scipy's
-    hyperu.
+    hyperu.  A negative or NaN w raises ParameterError.
     """
-    w = np.asarray(w, float)
+    w = _kernel_argument(w)
     if not has_fast_kernel(a):
-        from scipy import special
-
-        return special.hyperu(a, 0.5, w)
-    k = _kernel(a)
-    out = np.empty_like(w)
-    small = w < _SERIES_MAX_W
-    big = w >= _wlim(a)
-    mid = ~small & ~big
-    if np.any(small):
-        out[small] = k.u0 + k.kummer_diff(w[small])
-    if np.any(mid):
-        out[mid] = k.fitted(w[mid])
-    if np.any(big):
-        out[big] = k.asymptotic(w[big])
-    return out
+        return _hyperu(a, w)
+    return _kernel(a).values(w, diff=False)
 
 
 def u_half_diff(a: float, w):
@@ -284,18 +361,11 @@ def u_half_diff(a: float, w):
 
     Direct subtraction is catastrophic for small w (both terms approach
     sqrt(pi)/Gamma(a+1/2)); the Kummer connection formula gives the
-    difference as an explicit series there.
+    difference as an explicit series there.  Above the Kummer zone, an
+    ``a`` beyond 4 goes to scipy's hyperu.  A negative or NaN w raises
+    ParameterError.
     """
-    w = np.asarray(w, float)
-    k = _kernel(a)
-    out = np.empty_like(w)
-    small = w < _SERIES_MAX_W
-    if np.any(small):
-        out[small] = k.kummer_diff(w[small])
-    big = ~small
-    if np.any(big):
-        out[big] = u_half(a, w[big]) - k.u0
-    return out
+    return _kernel(a).values(_kernel_argument(w), diff=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import special
 
+from cbbre import numerics
+from cbbre.errors import ParameterError
 from cbbre.numerics import (
     _gamma_rule,
     gamma_power_expectation,
@@ -98,6 +102,97 @@ class TestKernelDifference:
                 series = u_half_diff(a, np.array([w]))[0]
                 direct = u_half(a, np.array([w]))[0] - u0(a)
                 assert series == pytest.approx(direct, rel=3e-13)
+
+
+def _mp_u(a, w):
+    """U(a, 1/2, w) and U(a, 1/2, w) - U(a, 1/2, 0) at 50 digits; below 0.45
+    the difference is the Kummer connection formula, free of cancellation."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        am, x = mpmath.mpf(a), mpmath.mpf(w)
+        u0 = mpmath.sqrt(mpmath.pi) / mpmath.gamma(am + 0.5)
+        u = mpmath.hyperu(am, 0.5, x)
+        if w < 0.45:
+            diff = (u0 * (mpmath.hyp1f1(am, 0.5, x) - 1)
+                    - 2 * mpmath.sqrt(mpmath.pi) / mpmath.gamma(am) * mpmath.sqrt(x)
+                    * mpmath.hyp1f1(am + 0.5, 1.5, x))
+        else:
+            diff = u - u0
+        return float(u), float(diff)
+
+
+class TestKernelBandEdges:
+    """The last point before and the first after every cut at which a series
+    gains or drops a term, and both zone switches."""
+
+    @pytest.mark.parametrize("a", [0.3, 1.0, 2.5, 4.0])
+    def test_matches_mpmath_either_side_of_every_cut(self, a):
+        pytest.importorskip("mpmath")
+        k = numerics._kernel(a)
+        kummer = k.kummer_cuts[k.kummer_cuts < numerics._SERIES_MAX_W]
+        asym = -k.asym_cuts
+        asym = asym[asym > numerics._wlim(a)]
+        edges = np.unique(np.concatenate([kummer, asym, [numerics._SERIES_MAX_W,
+                                                         numerics._wlim(a)]]))
+        w = np.concatenate([np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        ref = np.array([_mp_u(a, x) for x in w])
+        np.testing.assert_allclose(u_half(a, w), ref[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(u_half_diff(a, w), ref[:, 1], rtol=1e-13)
+
+    def test_values_do_not_depend_on_layout(self):
+        # each point sums its own terms: permuted or chunked input gives the
+        # same values bit for bit
+        rng = np.random.default_rng(18)
+        w = np.concatenate([[0.0, 1e-320, np.inf], np.geomspace(1e-40, 1e20, 4000)])
+        for a in (0.3, 2.5):
+            whole = u_half_diff(a, w)
+            perm = rng.permutation(w.size)
+            assert np.array_equal(u_half_diff(a, w[perm]), whole[perm])
+            chunks = [u_half_diff(a, part) for part in np.array_split(w, 7)]
+            assert np.array_equal(np.concatenate(chunks), whole)
+            assert np.array_equal(u_half_diff(a, w.reshape(4003, 1))[:, 0], whole)
+
+
+class TestKernelArgument:
+    @pytest.mark.parametrize("func, a", [(u_half, 2.5), (u_half_diff, 2.5), (u_half, 4.5),
+                                         (u_half_diff, 4.5)])
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf, -1e-320])
+    def test_rejects_negative_and_nan(self, func, a, bad):
+        w = np.array([0.5, 2.0, bad, -3.0, 7.0])
+        with pytest.raises(ParameterError, match=re.escape(f"w = {bad!r}")):
+            func(a, w)
+
+    @pytest.mark.parametrize("a", [0.3, 1.0, 2.5, 4.0])
+    def test_values_at_zero_tiny_and_infinity(self, a):
+        u0 = np.sqrt(np.pi) / special.gamma(a + 0.5)
+        u1 = 2.0 * np.sqrt(np.pi) / special.gamma(a)
+        w = np.array([0.0, 1e-320, np.inf])
+        assert np.array_equal(u_half(a, w), [u0, u0, 0.0])
+        assert np.array_equal(u_half_diff(a, w), [0.0, -u1 * np.sqrt(1e-320), -u0])
+        assert u_half(a, np.empty(0)).size == 0
+        assert u_half_diff(a, np.empty((0, 3))).shape == (0, 3)
+
+    def test_fallback_keeps_hyperu_values(self):
+        w = np.array([0.0, 1e-320, np.inf])
+        assert np.array_equal(u_half(4.5, w), special.hyperu(4.5, 0.5, w), equal_nan=True)
+
+
+class TestFitTable:
+    @pytest.mark.parametrize("a", [0.3, 1.0, 2.5, 4.0])
+    def test_matches_per_panel_conversion(self, a, monkeypatch):
+        # the fit's monomial table, converted in one pass, is the per-panel
+        # cheb2poly table bit for bit
+        seen = []
+        convert = numerics._cheb2poly_columns
+        monkeypatch.setattr(numerics, "_cheb2poly_columns",
+                            lambda c: seen.append(c) or convert(c))
+        k = numerics._Kernel(a)
+        k._fit()
+        (c,) = seen
+        cheb2poly = np.polynomial.chebyshev.cheb2poly
+        ref = np.array([cheb2poly(c[:, j]) for j in range(c.shape[1])]).T
+        assert np.array_equal(k.poly, ref)
 
 
 class TestGammaPowerLaplace:

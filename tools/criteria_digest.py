@@ -11,6 +11,12 @@ byte string that criterion 18 compares, and written to OUT.json with its
 sha256, its wall time and the child's peak resident memory (``peak_mb``,
 from ``ru_maxrss``).  Two checkouts whose files hold the same digests give
 byte-identical acceptance summaries.
+
+One more child writes the ``kernels`` record: the sha256 of the bytes of
+`u_half`, `u_half_diff`, `my_density_grid` and `phi_eta_grid` on the fixed
+grids of `kernel_summary`, which cross every zone of the confluent kernel
+and every term count of both its series, at a = 0.3, 1, 2.5 and 4 and on
+the hyperu fallback.  Equal records mean bit-identical kernel values.
 """
 from __future__ import annotations
 
@@ -45,10 +51,47 @@ def run_criterion(root: Path, num: int) -> tuple[str, float, float]:
     return text, wall, peak_mb
 
 
-def in_fresh_process(root: Path, num: int):
+def kernel_summary() -> dict:
+    """{function: sha256 of its values on fixed grids}."""
+    import numpy as np
+    from cbbre import environment, longterm, numerics
+
+    w = np.concatenate([[0.0, 1e-320, np.inf], np.geomspace(1e-40, 1e20, 12001)])
+    x = np.geomspace(1e-8, 60.0, 300)
+    v = np.geomspace(1e-4, 30.0, 300)
+    values = {
+        "u_half": [numerics.u_half(a, w) for a in (0.3, 1.0, 2.5, 4.0)]
+        + [numerics.u_half(4.5, w[::40])],
+        "u_half_diff": [numerics.u_half_diff(a, w) for a in (0.3, 1.0, 2.5, 4.0, 4.5)],
+        "my_density_grid": [environment.my_density_grid(x, nu, eta) for nu, eta in
+                            ((0.5, 0.0), (2.5, 1.0), (5.0, 4.0), (10.0, -0.5))]
+        + [environment.my_density_grid(x[::3], 3.0, 7.5)],
+        "phi_eta_grid": [longterm.phi_eta_grid(v, eta) for eta in (0.5, 1.0, 4.0)],
+    }
+    return {name: hashlib.sha256(b"".join(np.ascontiguousarray(a, float).tobytes()
+                                          for a in arrays)).hexdigest()
+            for name, arrays in values.items()}
+
+
+def run_kernels(root: Path) -> tuple[str, float, float]:
+    """(kernel summary as JSON, wall seconds, peak MB), in this process."""
+    sys.path.insert(0, str(root / "src"))
+    start = time.perf_counter()
+    text = json.dumps(kernel_summary(), sort_keys=True)
+    wall = time.perf_counter() - start
+    return text, wall, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def in_fresh_process(fn, *args):
     ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(1, mp_context=ctx) as pool:
-        return pool.submit(run_criterion, root, num).result()
+        return pool.submit(fn, *args).result()
+
+
+def record(text: str, wall: float, peak_mb: float) -> dict:
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "wall_s": round(wall, 2), "peak_mb": round(peak_mb, 1),
+            "summary": json.loads(text)}
 
 
 def main(argv=None) -> int:
@@ -60,13 +103,16 @@ def main(argv=None) -> int:
     suite = load_suite(root)
     criteria = {}
     for num in sorted(suite.CRITERIA):
-        text, wall, peak_mb = in_fresh_process(root, num)
-        criteria[str(num)] = {"sha256": hashlib.sha256(text.encode()).hexdigest(),
-                              "wall_s": round(wall, 2), "peak_mb": round(peak_mb, 1),
-                              "summary": json.loads(text)}
+        text, wall, peak_mb = in_fresh_process(run_criterion, root, num)
+        criteria[str(num)] = record(text, wall, peak_mb)
         print(f"criterion {num:02d}: {criteria[str(num)]['sha256'][:16]} "
               f"({wall:.1f} s, {peak_mb:.0f} MB)", file=sys.stderr, flush=True)
-    doc = {"checkout": str(root), "seed": suite.SEED, "criteria": criteria}
+    text, wall, peak_mb = in_fresh_process(run_kernels, root)
+    kernels = record(text, wall, peak_mb)
+    print(f"kernels: {kernels['sha256'][:16]} ({wall:.1f} s, {peak_mb:.0f} MB)",
+          file=sys.stderr, flush=True)
+    doc = {"checkout": str(root), "seed": suite.SEED, "criteria": criteria,
+           "kernels": kernels}
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -2,10 +2,11 @@
 
     python3 tools/digest_diff.py parent.json change.json
 
-Prints the criteria whose digests are byte-identical on one line, then, for
-every other criterion, each leaf of its summary that moved as
+Prints the records whose digests are byte-identical on one line, then, for
+every other record, each leaf of its summary that moved as
 ``path: old -> new`` (a leaf present on one side only reads ``<absent>`` on
-the other).  Exits 0 either way.
+the other).  The records are the criteria, by number, and ``kernels``, the
+digests of the confluent-kernel sweeps.  Exits 0 either way.
 """
 from __future__ import annotations
 
@@ -38,20 +39,25 @@ def moved_leaves(old: dict, new: dict) -> list[tuple[str, object, object]]:
             for p in sorted(a.keys() | b.keys()) if a.get(p, ABSENT) != b.get(p, ABSENT)]
 
 
+def records(path: Path) -> dict:
+    """{criterion number or "kernels": record} of one digest file."""
+    doc = json.loads(path.read_text())
+    return {**doc["criteria"], **({"kernels": doc["kernels"]} if "kernels" in doc else {})}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old", type=Path, help="digest file of the parent")
     ap.add_argument("new", type=Path, help="digest file of the change")
     args = ap.parse_args(argv)
-    old = json.loads(args.old.read_text())["criteria"]
-    new = json.loads(args.new.read_text())["criteria"]
-    nums = sorted(old.keys() | new.keys(), key=int)
+    old, new = records(args.old), records(args.new)
+    nums = sorted(old.keys() | new.keys(), key=lambda n: (not n.isdigit(), n.zfill(3)))
     same = [n for n in nums if n in old and n in new and old[n]["sha256"] == new[n]["sha256"]]
     print(f"byte-identical: {', '.join(same) or 'none'} ({len(same)} of {len(nums)})")
     for n in nums:
         if n in same:
             continue
-        print(f"criterion {n}:")
+        print(f"criterion {n}:" if n.isdigit() else f"{n}:")
         if n not in old or n not in new:
             print(f"  only in {'new' if n in new else 'old'}")
             continue
