@@ -9,7 +9,8 @@ explosion (beta < 0) are one expectation over the law of I_nu^(eta), of
 g(x) = 1 - e^(-x) or e^(-x), and one body serves both: it computes them two
 independent ways, Monte Carlo over environment paths, and quadrature
 against the density of 1/(2 I_nu^(eta)) (eta > -1) or against the
-Hartman-Watson marginal (any eta).  The Monte Carlo side integrates each
+Hartman-Watson marginal (any eta; it raises where its lattice's mass is off
+1 by more than 1e-6).  The Monte Carlo side integrates each
 sampled path by the trapezoid rule (``environment.log_exp_functional``),
 which is first-order unbiased for the Brownian functional; the exact-linear
 segment rule of the closed forms would be biased low by O(dt).  Limits as

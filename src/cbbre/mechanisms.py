@@ -413,6 +413,10 @@ class Stable(Mechanism):
             return self.alpha, 0.0, "K", None
         return self.alpha, self.c if self.beta == 1.0 else 0.0, "K0", self.alpha
 
+    @property
+    def exact_step(self):  # at beta = 1 psi is Feller's, and so is its exact law
+        return Feller(self.alpha, self.c).exact_step if self.beta == 1.0 else None
+
     def jump_law(self, eps):
         # the jump part of psi is c u^(1+beta), compensated for beta > 0 and
         # not for beta < 0: one stable increment per path-step

@@ -2,11 +2,12 @@
 
 Two schemes.  Where the mechanism has an exact transition law given the
 environment (``Mechanism.exact_step``: Feller, with or without linear
-immigration, and Neveu), the exact sampler draws Z from it at the end of
-each record interval, so no state is stepped between record times; Feller
-absorption times are exact, located on the grid.  The environment is drawn
-on the simulation grid from the chunk's stream, one record interval at a
-time in the row blocks of `numerics`; the demographic variates come from a
+immigration, ``Stable`` at beta = 1, which is Feller, and Neveu), the exact
+sampler draws Z from it at the end of each record interval, so no state is
+stepped between record times; Feller absorption times are exact, located
+on the grid.  The environment is drawn on the simulation grid from the
+chunk's stream, one record interval at a time in the row blocks of
+`numerics`; the demographic variates come from a
 second stream (the chunk's Philox stream jumped ahead by 2^128 draws), one
 call over the chunk's paths per variate and interval, so a seed draws one
 environment whatever the demography.  No block size or worker count changes

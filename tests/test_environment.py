@@ -233,6 +233,42 @@ class TestHartmanWatson:
         assert via_hw == pytest.approx(via_p, abs=2e-3)
 
 
+class TestHartmanWatsonLattice:
+    """The HW route's trapezoid lattice against the law's mass, its closed-form
+    mean and the density route."""
+
+    @pytest.mark.parametrize("nu", [0.3125, 0.5, 0.75])
+    def test_mass_at_criterion_seven(self, nu):
+        assert abs(hw_marginal_expectation(np.ones_like, nu, -1.0) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("nu,eta", [(0.3125, -1.0), (1.0, -2.0), (0.5, 0.0), (0.75, 1.0)])
+    def test_mean_matches_closed_form(self, nu, eta):
+        # E[I_nu^(eta)] = int_0^nu e^(2(eta+1)s) ds
+        want = nu if eta == -1.0 else math.expm1(2.0 * (eta + 1.0) * nu) / (2.0 * (eta + 1.0))
+        got = hw_marginal_expectation(lambda u: u, nu, eta)
+        assert abs(got / want - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("nu,eta", [(0.5, 0.0), (2.5, 1.0), (20.0, 0.0)])
+    def test_matches_density_route(self, nu, eta):
+        # E[1 - e^(-1/(4I))] two ways: v = 1/(2I) is the density's variable
+        via_hw = hw_marginal_expectation(lambda u: -np.expm1(-0.25 / u), nu, eta)
+        via_p = density_expectation(lambda v: -np.expm1(-0.5 * v), nu, eta)
+        assert abs(via_hw - via_p) <= 1e-10
+
+    def test_criterion_seven_cell(self):
+        from cbbre.longterm import explosion_prob
+        from cbbre.mechanisms import derive_env
+
+        env = derive_env(1.0, 0.25, -0.5, -1.0)
+        got = explosion_prob(0.5, 5.0, env, "quadrature-hw").value
+        assert abs(got - 0.76878476) <= 1e-8
+
+    def test_lost_mass_raises(self):
+        # at nu = 40, eta = -2 the lattice loses about 3.7e-2 of the mass
+        with pytest.raises(QuadratureInstabilityError, match="nu = 40"):
+            hw_marginal_expectation(np.ones_like, 40.0, -2.0)
+
+
 class TestLemma1:
     def test_p_zero_trivial(self):
         rep = lemma1_moments(1.0, 0.0, 1.0, n_mc=2000, n_steps=100, seed=0)

@@ -8,6 +8,7 @@ from cbbre import numerics
 from cbbre.conditioned import U_star_vectorized, U_vectorized, conditioned_survival
 from cbbre.environment import (
     hw_kernel,
+    hw_marginal_expectation,
     lemma1_moments,
     log_exp_functional,
     mc_log_exp_functionals,
@@ -68,6 +69,8 @@ SWEEPS = {
     "my_density_grid": lambda: my_density_grid(np.geomspace(1e-3, 20.0, 60), 1.0, 0.5),
     "phi_eta_grid": lambda: phi_eta_grid(np.geomspace(1e-3, 20.0, 60), 0.5),
     "hw_kernel": lambda: hw_kernel(np.geomspace(1e-2, 50.0, 60), 0.8),
+    "hw_marginal_expectation": lambda: hw_marginal_expectation(
+        lambda u: np.exp(-1.0 / u), 0.5, -1.0),
     "U_critical": lambda: U_vectorized(CRITICAL_ENV)(STATES),
     "U_weakly": lambda: U_vectorized(WEAKLY_ENV)(STATES),
     "U_star": lambda: U_star_vectorized(SUPERCRITICAL_ENV)(STATES),

@@ -511,6 +511,14 @@ class TestSchemes:
         noise = np.zeros((20, 10))
         assert run(Feller(0.2, 1.0), driving=(noise, noise)) == EULER
 
+    def test_stable_at_beta_one_runs_fellers_exact_step(self):
+        # Stable(alpha, 1, c) is Feller(alpha, c): the same sampler, the same paths
+        runs = [simulate_cbbre_batch(mech, 1.0, 1.0, 1.0, SimConfig(dt=0.01, seed=1), 2000)
+                for mech in (Stable(0.3, 1.0, 1.0), Feller(0.3, 1.0))]
+        assert [r.scheme for r in runs] == ["exact", "exact"]
+        assert np.array_equal(runs[0].z, runs[1].z)
+        assert np.array_equal(runs[0].t0, runs[1].t0, equal_nan=True)
+
     def test_environment_does_not_depend_on_the_demography(self):
         # the demographic variates have their own stream: one seed draws one
         # environment, with or without immigration and whatever the absorptions
