@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import (EnvPath, _env_path_blocks, _mc_estimate, integral_exp_linear,
+from .environment import (EnvPath, _env_path_map, _mc_estimate, integral_exp_linear,
                           log_exp_functional)
 from .errors import ParameterError, UnsupportedMechanismError
 from .flow import solve_backward
@@ -117,10 +117,12 @@ def cbibre_longterm(z: float, env: EnvParams, beta: float, c: float,
             horizon = T * mult
             n_steps = max(600, int(round(60 * horizon)))
             vals = np.empty(n_paths)
-            for rows, grid, K in _env_path_blocks(env.sigma, env.m, horizon, n_steps,
-                                                  seed, n_paths, stream=stream):
+
+            def fill(rows, grid, K):
                 A = np.exp(log_exp_functional(grid, K, -beta))
                 vals[rows] = _stable_cbi_transform(z, lam, beta * c * A, beta, c, kappa)
+
+            _env_path_map(fill, env.sigma, env.m, horizon, n_steps, seed, n_paths, stream)
             ests.append(_mc_estimate(vals, "mc", {"seed": seed, "stream": stream,
                                                   "T": horizon, "n_steps": n_steps}))
         limit = _stable_cbi_limit_transform(z, lam, env.m, env.sigma, beta, c, kappa)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .environment import (
     MCEstimate,
-    _env_path_blocks,
+    _env_path_map,
     _mc_estimate,
     density_expectation,
     hw_marginal_expectation,
@@ -89,9 +89,12 @@ def _finite_time_prob(z, t, env, method, n_paths, n_steps, seed) -> MCEstimate:
         n_steps = n_steps or max(400, int(round(200 * t)))
         ps = np.empty(n_paths)
         scale = z * (b * env.c) ** (-1.0 / b)
-        for rows, grid, K0 in _env_path_blocks(env.sigma, env.m, t, n_steps, seed, n_paths):
+
+        def fill(rows, grid, K0):
             log_a = log_exp_functional(grid, K0, -b)
             ps[rows] = -np.expm1(-scale * np.exp(-log_a / b))
+
+        _env_path_map(fill, env.sigma, env.m, t, n_steps, seed, n_paths)
         return _mc_estimate(ps, "mc", {
             "seed": seed, "n_paths": n_paths, "n_steps": n_steps,
             "estimator": "mean cond_survival" if b > 0 else "mean cond_explosion"})

@@ -112,11 +112,12 @@ def gl_panels(edges, order: int = 16):
 _ROW_BUDGET = 1 << 16
 
 
-def _row_blocks(n_rows: int, n_cols: int):
+def _row_blocks(n_rows: int, n_cols: int, share: int = 1):
     """Slices of consecutive rows, each block of n_cols columns within
-    `_ROW_BUDGET` elements (one row at least).  Callers reduce every row on
-    its own, so no budget changes a value."""
-    step = max(1, _ROW_BUDGET // max(n_cols, 1))
+    `_ROW_BUDGET` / ``share`` elements (one row at least), ``share`` being the
+    number of threads that sweep at once.  Callers reduce every row on its
+    own, so no budget changes a value."""
+    step = max(1, _ROW_BUDGET // share // max(n_cols, 1))
     return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 

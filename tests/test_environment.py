@@ -214,6 +214,12 @@ class TestHartmanWatson:
         pair = hw_kernel(np.array([1e-300, 1.0]), 250.0)
         assert pair[1] > 0 and pair[1] == pytest.approx(hw_kernel(1.0, 250.0), rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_past_y_710_is_silent(self):
+        # sinh and cosh overflow there by design; the rule zeroes those terms
+        pair = hw_kernel(np.array([1e-300, 1.0]), 250.0)
+        assert pair[0] == 0.0 and np.isfinite(pair[1])
+
     def test_refuses_small_t(self):
         with pytest.raises(QuadratureInstabilityError):
             hw_kernel(1.0, T_MIN / 2)

@@ -1,10 +1,11 @@
 """Row sweeps: the one row budget of `numerics` bounds memory and changes no value."""
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cbbre import numerics
+from cbbre import environment, numerics, rng
 from cbbre.conditioned import U_star_vectorized, U_vectorized, conditioned_survival
 from cbbre.environment import (
     hw_kernel,
@@ -35,15 +36,30 @@ def _est(e):
     return [e.value, e.stderr]
 
 
-def _longterm():
-    rep = cbibre_longterm(1.0, SUPERCRITICAL_ENV, 0.5, 1.0, 0.5, n_paths=60, seed=3)
+def _longterm(n):
+    rep = cbibre_longterm(1.0, SUPERCRITICAL_ENV, 0.5, 1.0, 0.5, n_paths=n, seed=3)
     return [x for e in rep.mc_estimates for x in _est(e)]
 
 
-def _lemma1():
-    rep = lemma1_moments(-0.5, 0.5, 1.0, n_mc=300, n_steps=200, seed=2)
+def _lemma1(n):
+    rep = lemma1_moments(-0.5, 0.5, 1.0, n_mc=n, n_steps=200, seed=2)
     return [*_est(rep.lhs), *_est(rep.rhs), rep.diff_stderr, *_est(rep.inequality_lhs),
             *_est(rep.inequality_rhs)]
+
+
+#: environment Monte Carlo at n paths; 2,500 paths are three path groups
+#: (the last one partial), which run on threads
+def _env_mc(n):
+    return {
+        "sample_env_paths": lambda: sample_env_paths(0.8, -0.3, 2.0, 300, 5, n, stream=2)[1],
+        "survival_mc": lambda: _est(survival_prob(1.0, 1.0, SURVIVAL_ENV, "mc", n_paths=n,
+                                                  seed=1)),
+        "explosion_mc": lambda: _est(explosion_prob(1.0, 2.0, EXPLOSION_ENV, "mc", n_paths=n,
+                                                    seed=1)),
+        "mc_log_exp_functionals": lambda: mc_log_exp_functionals(-0.5, 2.0, n, 250, 3),
+        "lemma1_moments": lambda: _lemma1(n),
+        "cbibre_longterm": lambda: _longterm(n),
+    }
 
 
 def _exact_simulation():
@@ -64,8 +80,9 @@ SWEEPS = {
     "explosion_mc": lambda: _est(explosion_prob(1.0, 2.0, EXPLOSION_ENV, "mc", n_paths=300,
                                                 seed=1)),
     "mc_log_exp_functionals": lambda: mc_log_exp_functionals(-0.5, 2.0, 300, 250, 3),
-    "lemma1_moments": _lemma1,
-    "cbibre_longterm": _longterm,
+    "lemma1_moments": lambda: _lemma1(300),
+    "cbibre_longterm": lambda: _longterm(60),
+    **{f"{name}_groups": fn for name, fn in _env_mc(2500).items()},
     "my_density_grid": lambda: my_density_grid(np.geomspace(1e-3, 20.0, 60), 1.0, 0.5),
     "phi_eta_grid": lambda: phi_eta_grid(np.geomspace(1e-3, 20.0, 60), 0.5),
     "hw_kernel": lambda: hw_kernel(np.geomspace(1e-2, 50.0, 60), 0.8),
@@ -112,3 +129,38 @@ def test_monte_carlo_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 100 * 2**20
+
+
+def test_threads_change_no_value(monkeypatch):
+    # three threads, one per group and switching often, against one thread
+    monkeypatch.setattr(environment, "_mc_threads", lambda: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        want = {name: np.asarray(fn()) for name, fn in _env_mc(2500).items()}
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(environment, "_mc_threads", lambda: 1)
+    for name, fn in _env_mc(2500).items():
+        assert np.array_equal(np.asarray(fn()), want[name]), name
+
+
+def _counter(bit_gen):
+    words = bit_gen.state["state"]["counter"]
+    return sum(int(w) << (64 * i) for i, w in enumerate(words))
+
+
+def test_first_group_is_the_stream():
+    sigma, drift, T, n_steps, seed, stream = 0.8, -0.3, 2.0, 300, 5, 2
+    group, dt = environment._GROUP_PATHS, T / n_steps
+    K = sample_env_paths(sigma, drift, T, n_steps, seed, 2500, stream=stream)[1]
+    spans = []
+    for g, gen in enumerate((rng.stream(seed, stream), rng.group_stream(seed, stream, 1))):
+        start = _counter(gen.bit_generator)
+        inc = gen.normal(drift * dt, sigma * np.sqrt(dt), size=(group, n_steps))
+        assert np.array_equal(K[g * group:(g + 1) * group, 1:], np.cumsum(inc, axis=1))
+        spans.append((start, _counter(gen.bit_generator)))
+    # group 1's counters lie past group 0's and below the simulator's
+    # demography stream, the same key jumped ahead
+    demography = _counter(rng.stream(seed, stream).bit_generator.jumped())
+    assert spans[0][1] < spans[1][0] and spans[1][1] < demography
