@@ -41,11 +41,10 @@ def _dump_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def emit_plot_data(rows: list[dict], path: Path, columns=None) -> None:
-    """Tidy CSV: one observation per row; deterministic field order."""
+def emit_plot_data(rows: list[dict], path: Path, columns: list[str]) -> None:
+    """Tidy CSV: one observation per row, fields in the order of ``columns``."""
     if not rows:
         return
-    columns = columns or sorted({k for r in rows for k in r})
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)

@@ -14,9 +14,7 @@ Schema (see README for the full field list)::
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +94,6 @@ class ExperimentConfig:
     workers: int
     out: str
     immigration: ImmigrationMechanism | None = None
-    raw: dict = field(default_factory=dict, repr=False)
 
     @property
     def kind(self) -> str:
@@ -107,17 +104,8 @@ _NUMERIC_DEFAULTS = {"dt": 1e-3, "eps_jump": 1e-3, "eps_abs": 1e-10,
                      "m_expl": 1e9, "ode_tol": 1e-10}
 
 
-def load_config(path_or_dict) -> ExperimentConfig:
-    """Parse and validate a config document (path, JSON string, or dict)."""
-    if isinstance(path_or_dict, dict):
-        doc = path_or_dict
-    else:
-        text = Path(path_or_dict).read_text() if not str(path_or_dict).lstrip().startswith("{") \
-            else str(path_or_dict)
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"not valid JSON: {exc}", "document") from None
+def load_config(doc: dict) -> ExperimentConfig:
+    """Parse and validate a config document, already read into a dict."""
     if not isinstance(doc, dict):
         raise ConfigError("top level must be an object", "document")
     for key in ("mechanism", "environment", "experiment"):
@@ -146,5 +134,5 @@ def load_config(path_or_dict) -> ExperimentConfig:
         raise ConfigError("workers must be >= 1", "workers")
     imm = immigration_from_dict(doc.get("immigration"))
     return ExperimentConfig(mech, sigma, exp, numerics, seed, workers,
-                            str(doc.get("out", "results")), imm, doc)
+                            str(doc.get("out", "results")), imm)
 

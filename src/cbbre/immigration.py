@@ -100,7 +100,7 @@ class CbibreLongterm:
 
 def cbibre_longterm(z: float, env: EnvParams, beta: float, c: float,
                     kappa: float, lam: float = 1.0, n_paths: int = 20000,
-                    seed: int = 0, method: str = "mc") -> CbibreLongterm:
+                    seed: int = 0) -> CbibreLongterm:
     """Long-term behaviour of the stable CBIBRE.
 
     m > 0: Z_t e^{-K0_t} converges in distribution; the limiting Laplace

@@ -737,9 +737,9 @@ class Regime:
     conditioned: ConditionedRegime | None
 
 
-def classify_regime(env: EnvParams, eps: float = EPS_REGIME) -> Regime:
-    """Regime tags determined by (m, sigma, beta) with exact boundary handling."""
-    m, s2, b = env.m, env.sigma**2, env.beta
+def classify_regime(env: EnvParams) -> Regime:
+    """Regime tags determined by (m, sigma, beta); a boundary holds within EPS_REGIME."""
+    m, s2, b, eps = env.m, env.sigma**2, env.beta, EPS_REGIME
     survival = explosion = conditioned = None
     if b > 0:
         if m > eps:

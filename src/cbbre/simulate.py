@@ -333,11 +333,9 @@ def simulate_cbbre_batch(mech: Mechanism, sigma: float, z0: float, T: float,
 
 def simulate_cbibre_batch(mech: Mechanism, imm: ImmigrationMechanism,
                           sigma: float, z0: float, T: float, cfg: SimConfig,
-                          n_paths: int, record_times=None,
-                          chunk: int = 20000) -> SimBatch:
+                          n_paths: int, record_times=None) -> SimBatch:
     """CBBRE plus immigration: zero is no longer absorbing."""
-    return simulate_cbbre_batch(mech, sigma, z0, T, cfg, n_paths,
-                                record_times, imm=imm, chunk=chunk)
+    return simulate_cbbre_batch(mech, sigma, z0, T, cfg, n_paths, record_times, imm=imm)
 
 
 # ---------------------------------------------------------------------------

@@ -164,10 +164,35 @@ class TestMyDensity:
         mass = density_expectation(np.ones_like, 2.5, 4.0)
         assert abs(mass - 1.0) <= 1e-6
 
+    @pytest.mark.parametrize("nu, eta", [(0.5, 0.0), (1.0, 1.0), (2.5, 0.0), (2.5, 1.0),
+                                         (20.0, 0.0)])
+    def test_mass_and_mean_match_closed_forms(self, nu, eta):
+        # E[I_nu^(eta)] = (e^(2(eta+1)nu) - 1) / (2(eta+1)), and v = 1/(2I)
+        mass = density_expectation(np.ones_like, nu, eta)
+        mean = density_expectation(lambda v: 0.5 / v, nu, eta)
+        assert abs(mass - 1.0) <= 1e-11
+        assert mean == pytest.approx(math.expm1(2.0 * (eta + 1.0) * nu) / (2.0 * (eta + 1.0)),
+                                     rel=1e-9)
+
+    @pytest.mark.parametrize("nu, eta", [(1.0, 0.0), (2.0, 1.0)])
+    def test_cdf_matches_integrated_density(self, nu, eta):
+        # the CDF sums the density's own rule; adaptive quadrature of the
+        # density from 0 is the reference
+        from scipy.integrate import quad
+
+        x = [0.05, 0.2, 0.5, 1.0, 2.0]
+        ref = [quad(lambda v: my_density(nu, eta, v), 0.0, b, limit=200,
+                    epsabs=1e-12, epsrel=1e-10)[0] for b in x]
+        np.testing.assert_allclose(density_cdf(x, nu, eta), ref, rtol=0.0, atol=5e-4)
+
 
 # theta_r(t) by mpmath at 40 digits, lobe by lobe of sin(pi y/t), at r
 # spanning theta >= 1e-6 of its peak for each t
 HW_KERNEL_MPMATH = {
+    T_MIN: {0.632: 5.175762309043515e-05, 0.994: 0.0075832281977886076,
+            1.56: 0.40116781730445705, 2.46: 7.340255508006351, 3.86: 37.72050025302622,
+            6.07: 44.62005459554384, 9.55: 8.13613372473643, 15.0: 0.1232409638586418,
+            23.6: 5.293359734989077e-05},
     0.3125: {0.6: 6.522545898990893e-05, 0.946: 0.008181159438416656,
              1.49: 0.3854366346582666, 2.36: 6.476019016649145, 3.71: 31.238055121397206,
              5.86: 36.163646102462025, 9.24: 6.757090207496913, 14.6: 0.1064596014657248,
@@ -196,9 +221,12 @@ class TestHartmanWatson:
         rtol = np.full(r.size, 1e-8)
         if t == 0.3125:
             # at r = 0.6 the sum cancels 1.5e9-fold in double precision
-            # (the value is 1.8e-6 of the peak): 1.1e-7 here, 8.1e-8 with
-            # the uniform panels of width t/2
+            # (the value is 1.8e-6 of the peak): 5.8e-9 here
             rtol[0] = 2e-7
+        elif t == T_MIN:
+            # at r = 0.632 (1.0e-6 of the peak) the sum cancels deeper
+            # still: 4.1e-7 here
+            rtol[0] = 1e-6
         assert np.all(np.abs(hw_kernel(r, t) / ref - 1.0) <= rtol)
 
     def test_positive_at_unit_arguments(self):

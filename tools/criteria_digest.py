@@ -16,7 +16,9 @@ One more child writes the ``kernels`` record: the sha256 of the bytes of
 `u_half`, `u_half_diff`, `my_density_grid` and `phi_eta_grid` on the fixed
 grids of `kernel_summary`, which cross every zone of the confluent kernel
 and every term count of both its series, at a = 0.3, 1, 2.5 and 4 and on
-the hyperu fallback; of `hw_kernel` on a fixed r grid at t = 0.8; and of
+the hyperu fallback; of `hw_kernel` on a fixed r grid at t = 0.8; of
+`density_cdf` on a fixed grid at criterion 5's (nu, eta) = (1, 0) and
+(2, 1); and of
 the Hartman-Watson mass (`hw_marginal_expectation` of 1) at criterion 7's
 nu = 0.3125, 0.5 and 0.75 (eta = -1).  Equal records mean bit-identical
 kernel values.
@@ -70,6 +72,8 @@ def kernel_summary() -> dict:
                             ((0.5, 0.0), (2.5, 1.0), (5.0, 4.0), (10.0, -0.5))]
         + [environment.my_density_grid(x[::3], 3.0, 7.5)],
         "phi_eta_grid": [longterm.phi_eta_grid(v, eta) for eta in (0.5, 1.0, 4.0)],
+        "density_cdf": [environment.density_cdf(v[::3], nu, eta)
+                        for nu, eta in ((1.0, 0.0), (2.0, 1.0))],
         "hw_kernel": [environment.hw_kernel(np.geomspace(1e-3, 60.0, 300), 0.8)],
         "hw_marginal_expectation": [
             environment.hw_marginal_expectation(np.ones_like, nu, -1.0)
