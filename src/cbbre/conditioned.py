@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .environment import (MCEstimate, _default_v_rule, _mc_estimate, mc_log_exp_functionals,
-                          my_density_grid)
+from .environment import MCEstimate, _density_rule, _mc_estimate, mc_log_exp_functionals
 from .errors import ParameterError, RegimeError
 from .longterm import (
     AsymptoticConstant,
@@ -193,8 +192,8 @@ def conditioned_survival(z: float, t: float, env: EnvParams,
     nu = env.beta**2 * env.sigma**2 * t / 4.0
     ustar = U_star(z, env)
     if method == "quadrature":
-        v, wv = _default_v_rule(nu, -env.eta)
-        val = _gamma_h_integral(z, env, v, wv * my_density_grid(v, nu, -env.eta)) / ustar
+        v, mass = _density_rule(nu, -env.eta, 1.0 / env.beta)  # h is a function of v^(1/beta)
+        val = _gamma_h_integral(z, env, v, mass) / ustar
         return MCEstimate(val, 0.0, 0, "quadrature",
                           {"nu": nu, "eta": env.eta, "u_star": ustar})
     n_steps = n_steps or max(400, int(round(2000 * nu)))

@@ -35,9 +35,9 @@ import numpy as np
 
 from .environment import (
     MCEstimate,
+    _density_rule,
     _env_path_map,
     _mc_estimate,
-    density_expectation,
     hw_marginal_expectation,
     log_exp_functional,
 )
@@ -48,8 +48,8 @@ from .mechanisms import (
     SurvivalRegime,
     classify_regime,
 )
-from .numerics import (_gamma, _gamma_laplace_rows, _gamma_rule, _gammaln, _peak_shape, _row_sums,
-                       gl_panels, u_half)
+from .numerics import (_gamma, _gamma_laplace_rows, _gamma_rule, _gammaln, _lattice, _peak_shape,
+                       _row_sums, u_half)
 
 __all__ = [
     "survival_prob",
@@ -98,21 +98,22 @@ def _finite_time_prob(z, t, env, method, n_paths, n_steps, seed) -> MCEstimate:
         return _mc_estimate(ps, "mc", {
             "seed": seed, "n_paths": n_paths, "n_steps": n_steps,
             "estimator": "mean cond_survival" if b > 0 else "mean cond_explosion"})
+    nu = b**2 * env.sigma**2 * t / 4.0
     if method == "quadrature":
         if env.eta <= -1.0:
             raise MethodError("density quadrature requires eta > -1; "
                               "use 'quadrature-hw' for eta <= -1")
-        # the density's variable is v = 1/(2 I)
-        expect, x = density_expectation, lambda v: kk * (z**b * v) ** (1.0 / b)
+        v, mass = _density_rule(nu, env.eta, 1.0 / b)  # v = 1/(2 I); g is of v^(1/b)
+        expect = lambda g: float(np.sum(mass * g(kk * (z**b * v) ** (1.0 / b))))
     elif method == "quadrature-hw":
-        expect, x = hw_marginal_expectation, lambda u: z * kk * (2.0 * u) ** (-1.0 / b)
+        expect = lambda g: hw_marginal_expectation(
+            lambda u: g(z * kk * (2.0 * u) ** (-1.0 / b)), nu, env.eta)
     else:
         raise MethodError(f"unknown method {method!r}")
-    nu = b**2 * env.sigma**2 * t / 4.0
     if b > 0:
-        val = expect(lambda s: -np.expm1(-x(s)), nu, env.eta)
+        val = expect(lambda x: -np.expm1(-x))
     else:
-        val = 1.0 - expect(lambda s: np.exp(-x(s)), nu, env.eta)
+        val = 1.0 - expect(lambda x: np.exp(-x))
     return MCEstimate(float(val), 0.0, 0, method, {"nu": nu, "eta": env.eta})
 
 
@@ -259,10 +260,16 @@ def _phi_weights(eta: float):
     """Nodes v and weights w_i phi_eta(v_i) of the weakly-regime rule on
     (0, infinity): int f(v) phi_eta(v) dv ~ sum f(v_i) weights_i.
 
-    The log-spaced panels reach down to v = 1e-30; a cut at 1e-9 alone
-    leaves the constants ~1e-6 low.
+    The trapezoid rule in log v, half weights at both ends, reaches down to
+    v = 1e-30; a cut at 1e-9 alone leaves the constants ~1e-6 low.  The
+    caller's f = g(k (z^beta v)^(1/beta)) is analytic in a strip ~pi |beta|/2
+    wide in log v: at beta = -0.5 the step 0.2 misses the shared-branch test
+    by 1.3e-8, where 0.1 and 0.15 pass.
     """
-    v, w = gl_panels(np.geomspace(1e-30, 80.0 + 10.0 * eta, 120), 16)
+    h = 0.1
+    v = np.exp(_lattice(math.log(1e-30), math.log(80.0 + 10.0 * eta), h))
+    w = h * v
+    w[[0, -1]] *= 0.5
     return v, w * phi_eta_grid(v, eta)
 
 

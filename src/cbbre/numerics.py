@@ -2,7 +2,8 @@
 
 Five things live here because several modules need them:
 
-* composite Gauss-Legendre panel rules (`gl_panels`),
+* uniform lattices (`_lattice`), on which every quadrature of the package
+  is the trapezoid rule in a log variable,
 * the row blocks of every row sweep (`_row_blocks`), whose temporaries hold
   at most ``_ROW_BUDGET`` float64 elements, and the kernel sums on them
   (`_row_sums`),
@@ -12,8 +13,8 @@ Five things live here because several modules need them:
   integrals require at tiny arguments; the density of 1/(2 I_nu^(eta)) and
   phi_eta both reduce to it with a = (eta+1)/2,
 * one cached rule for every Gamma expectation ``E[f(G)]``, ``G ~ Gamma(shape)``
-  (`_gamma_rule`): Gauss-Legendre panels in log x that keep the mass near
-  zero as one node; `gamma_power_expectation` is a weighted sum on it, and
+  (`_gamma_rule`): a lattice in log x that keeps the mass near zero as
+  one node; `gamma_power_expectation` is a weighted sum on it, and
   so is the Laplace transform ``E[exp(-q * G^power)]`` for an array of q
   (`_gamma_laplace_rows`, placed by `_peak_shape` at the largest q for
   negative powers, exactly 1 at q = 0), whose one-point case is
@@ -24,8 +25,9 @@ Five things live here because several modules need them:
   so ``import cbbre`` loads numpy only.
 
 The confluent kernel has three zones in w: the Kummer connection series
-for small ``w``, a piecewise Chebyshev fit of log U in log w (built once per
-``a`` from a Laplace-integral quadrature) in the middle, and the divergent
+for small ``w``, a piecewise polynomial of log U in log w, interpolated at
+Chebyshev points (built once per ``a`` from a Laplace-integral lattice), in
+the middle, and the divergent
 2F0 asymptotic series for large ``w``.  Each call splits its points into
 the zones once.  Both series stop at the terms each band of ``w`` needs
 (`_power_sums`): most points need no term or one, and two comparisons
@@ -46,7 +48,6 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
-    "gl_panels",
     "u_half",
     "u_half_diff",
     "has_fast_kernel",
@@ -76,34 +77,21 @@ def _gammaln(x):
 
 
 def _hyperu(a, w):
-    """U(a, 1/2, w), by scipy.special (imported on first use)."""
+    """U(a, 1/2, w), by scipy.special (imported on first use), and its limit 0
+    at w = inf, where scipy returns NaN."""
     from scipy import special
 
-    return special.hyperu(a, 0.5, w)
+    return np.where(w == np.inf, 0.0, special.hyperu(a, 0.5, w))
 
 
 # ---------------------------------------------------------------------------
-# Panel rules and row sweeps
+# Lattices and row sweeps
 # ---------------------------------------------------------------------------
 
-_LEG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
-def _leggauss(order):
-    if order not in _LEG_CACHE:
-        _LEG_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _LEG_CACHE[order]
-
-
-def gl_panels(edges, order: int = 16):
-    """Composite Gauss-Legendre nodes/weights on consecutive panels."""
-    edges = np.asarray(edges, float)
-    xg, wg = _leggauss(order)
-    lo, hi = edges[:-1], edges[1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    return nodes, weights
+def _lattice(lo: float, hi: float, h: float):
+    """lo, lo + h, lo + 2h, ... up to the first node at or past hi."""
+    return lo + h * np.arange(math.ceil((hi - lo) / h) + 1)
 
 
 #: float64 elements in one (rows x columns) temporary of a row sweep; at
@@ -182,16 +170,15 @@ class _Kernel:
     def _fit(self):
         # log(w^a U) in u = log w on equal panels between the series and the
         # asymptotic zone, from the Laplace-integral quadrature; each panel
-        # holds the monomial coefficients of its Chebyshev interpolant in
-        # the local variable t in [-1, 1]
+        # holds the monomial coefficients of its interpolant at the
+        # Chebyshev points of the local variable t in [-1, 1]
         lo, hi = np.log(_SERIES_MAX_W), np.log(_wlim(self.a))
         n = int(np.ceil((hi - lo) / _FIT_PANEL))
         h = (hi - lo) / n
         x = np.cos(np.pi * (np.arange(_FIT_DEGREE + 1) + 0.5) / (_FIT_DEGREE + 1))
         u = lo + h * (np.arange(n)[:, None] + 0.5 * (x + 1.0))
         f = np.log(_u_quad_logt(self.a, np.exp(u.ravel()))) + self.a * u.ravel()
-        c = np.polynomial.chebyshev.chebfit(x, f.reshape(n, -1).T, _FIT_DEGREE)
-        self.poly = _cheb2poly_columns(c)
+        self.poly = np.polynomial.polynomial.polyfit(x, f.reshape(n, -1).T, _FIT_DEGREE)
         self.fit_lo, self.fit_scale, self.n_panels = lo, 1.0 / h, n
 
     def fitted(self, w):
@@ -252,25 +239,6 @@ class _Kernel:
         return out
 
 
-def _cheb2poly_columns(c):
-    """`np.polynomial.chebyshev.cheb2poly` of every column of c (3 rows at
-    least) at once: its recurrence, operation for operation, on rows that
-    hold all columns."""
-    def mulx(p):  # polymulx: p times x, led by p[0] * 0 as numpy does
-        return np.concatenate([p[:1] * 0, p])
-
-    c0, c1 = c[-2:-1], c[-1:]
-    for i in range(len(c) - 1, 1, -1):
-        tmp = c0
-        c0 = -c1
-        c0[0] += c[i - 2]
-        c1 = mulx(c1) * 2
-        c1[: len(tmp)] += tmp
-    out = mulx(c1)
-    out[: len(c0)] += c0
-    return out
-
-
 def _power_sums(x, key, cuts, coefs):
     """sum_{k=1}^{n_i} c[k-1] x_i^k for each coefficient row c, where point i
     needs the n_i terms whose ascending ``cuts`` lie below ``key[i]``.
@@ -310,14 +278,15 @@ def _power_sums(x, key, cuts, coefs):
 
 
 def _u_quad_logt(a, w):
-    # Laplace integral of DLMF 13.4.4 in log t; below t = e^-48 the integrand
-    # is t^(a-1) to double precision, which integrates to e^(-48 a)/a
-    lo = -48.0
-    u, uw = gl_panels(np.arange(lo, 8.0 + 1e-9, 0.4), 16)
+    # Laplace integral of DLMF 13.4.4 in u = log t, by the trapezoid rule on
+    # u = -48, -47.8, ..., 8; below u = -48 the integrand is e^(a u) to double
+    # precision, and the lattice's own nodes there sum to h e^(a(lo - h)) / (1 - e^(-a h))
+    lo, h = -48.0, 0.2
+    u = _lattice(lo, 8.0, h)
     t = np.exp(u)
     base = a * u - np.log1p(t) * (a + 0.5)
     E = np.exp(base[None, :] - np.outer(np.asarray(w, float), t))
-    return (E @ uw + np.exp(a * lo) / a) / _gamma(a)
+    return h * (E.sum(axis=1) + math.exp(a * (lo - h)) / -math.expm1(-a * h)) / _gamma(a)
 
 
 def _kernel(a: float) -> _Kernel:
@@ -345,11 +314,12 @@ def u_half(a: float, w):
     """U(a, 1/2, w) for w >= 0, vectorized.
 
     For 0 < a <= 4 the value is, by band of w: the Kummer connection series
-    below w = 0.45, a piecewise Chebyshev fit of log U in log w (built once
-    per ``a`` from the Laplace integral) up to 60 + 8a^2, and the 2F0
+    below w = 0.45, a piecewise polynomial fit of log U in log w at Chebyshev
+    points (built once per ``a`` from the Laplace integral) up to 60 + 8a^2, and the 2F0
     asymptotic series beyond.  Each series stops at the terms its band of w
     needs.  The relative error is below ~1e-13.  Other ``a`` go to scipy's
-    hyperu.  A negative or NaN w raises ParameterError.
+    hyperu (with the limit 0 at w = inf).  A negative or NaN w raises
+    ParameterError.
     """
     w = _kernel_argument(w)
     if not has_fast_kernel(a):
@@ -370,38 +340,47 @@ def u_half_diff(a: float, w):
 
 
 # ---------------------------------------------------------------------------
-# Gamma expectations on one panel rule
+# Gamma expectations on one lattice rule
 # ---------------------------------------------------------------------------
 
-_GAMMA_MASS_EPS = 1e-16  # mass of G below the first panel
-_GAMMA_T_MIN = -700.0     # exp(t) stays a normal double above this
-_GAMMA_PANELS = 1.5       # panels of order 12 per unit of t = log x
+_GAMMA_PEAK_EPS = 1e-16  # the weight at the first node, relative to its peak
+_GAMMA_T_MIN = -700.0    # x = e^t stays a normal double above this
+_GAMMA_STEP = 0.1        # lattice step in log x, shrunk for high powers and shapes
+
+
+def _gamma_lattice(shape: float, power: float = 1.0):
+    """Nodes x and unnormalized weights w of the trapezoid rule in
+    tau = log(x / shape) for e^(shape tau - shape expm1(tau)) dtau, the Gamma
+    weight in log x scaled to peak at 1; sum(w) ~ Gamma(shape) e^shape shape^-shape.
+
+    The step, 0.1 / max(1, |power|/2, sqrt(shape)/3), resolves f of x^power
+    and the peak's width 1/sqrt(shape).  The lattice runs from where the
+    weight is below 1e-16 (or x = e^-700) to x = 60 + 12 shape; below, the
+    weight is at most e^(shape (tau + 1)), exactly so where mass lies there,
+    and those lattice nodes, a geometric series, are one more node.
+    """
+    h = _GAMMA_STEP / max(1.0, 0.5 * abs(power), math.sqrt(shape) / 3.0)
+    lo = max(math.log(_GAMMA_PEAK_EPS) / shape - 1.0, _GAMMA_T_MIN - math.log(shape))
+    tau = _lattice(lo, math.log(60.0 / shape + 12.0), h)
+    f = np.exp(shape * tau - shape * np.expm1(tau))
+    x = shape * np.exp(np.concatenate([[lo - h], tau]))
+    return x, h * np.concatenate([[f[0] / math.expm1(shape * h)], f])
 
 
 @functools.lru_cache(maxsize=64)
 def _gamma_rule(shape: float, power: float = 1.0):
-    """Read-only nodes x and weights w, sum(w * f(x)) ~ E[f(G)], G ~ Gamma(shape).
-
-    Gauss-Legendre panels in t = log x, where the weight x^shape e^(-x) dt
-    is smooth for every shape, from where G has mass < 1e-16 below (or
-    t = -700) to x = 60 + 12 shape; that mass is one more node, so nothing
-    near zero is lost.  f of x^power with |power| > 2 gets more panels.
-    """
-    lg = _gammaln(shape + 1.0)
-    t_lo = max((math.log(_GAMMA_MASS_EPS) + lg) / shape, _GAMMA_T_MIN)
-    t_hi = math.log(60.0 + 12.0 * shape)
-    n = math.ceil(_GAMMA_PANELS * max(1.0, 0.5 * abs(power)) * (t_hi - t_lo))
-    t, w = gl_panels(np.linspace(t_lo, t_hi, n + 1), 12)
-    w *= np.exp(shape * t - np.exp(t) - _gammaln(shape))
-    x = np.concatenate([[math.exp(t_lo)], np.exp(t)])
-    w = np.concatenate([[math.exp(shape * t_lo - lg)], w])
+    """Read-only nodes x and weights w, sum(w * f(x)) ~ E[f(G)], G ~ Gamma(shape):
+    the weights of `_gamma_lattice` divided by their sum, so that no Gamma
+    function enters the rule."""
+    x, w = _gamma_lattice(shape, power)
+    w /= w.sum()
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
 def gamma_power_expectation(func, shape: float, power: float = 1.0) -> float:
     """E[func(G)] for G ~ Gamma(shape, rate 1) on `_gamma_rule(shape, power)`,
-    where func is a function of G^power (|power| sets the panel density)."""
+    where func is a function of G^power (|power| sets the lattice step)."""
     if shape <= 0:
         raise ValueError("Gamma shape must be positive")
     x, w = _gamma_rule(shape, power)
@@ -410,14 +389,14 @@ def gamma_power_expectation(func, shape: float, power: float = 1.0) -> float:
 
 
 def _peak_shape(shape: float, power: float, theta: float):
-    """Shape s' and panel power of the `_gamma_rule` for f(x) e^(-theta x^power)
+    """Shape s' and step power of the `_gamma_rule` for f(x) e^(-theta x^power)
     against G ~ Gamma(shape), theta the largest one; the caller reweights,
     E_s[f(G)] = Gamma(s')/Gamma(s) E_s'[f(G) G^(s-s')].
 
     Positive powers keep (shape, power).  For power < 0 the integrand peaks
     at x* = (|power| theta)^(1/(1+|power|)) with width 1/sqrt((1+|power|) x*)
     in log x: s' = x*/4 takes the rule's reach (60 + 12 s') past it, and the
-    panels narrow with the width.
+    step narrows with the width.
     """
     if power >= 0:
         return shape, power

@@ -35,10 +35,21 @@ from cbbre.immigration import (
     stable_cbibre_laplace,
 )
 from cbbre.mechanisms import Feller, Neveu, Stable, derive_env
-from cbbre.numerics import gl_panels
 from cbbre.simulate import SimConfig, simulate_cbbre_batch, simulate_cbibre_batch
 
 SEED = 20260808
+
+
+def gauss_legendre_panels(edges, order: int = 16):
+    """Composite Gauss-Legendre nodes and weights on consecutive panels: the
+    tests' reference rule, independent of the package's lattices."""
+    edges = np.asarray(edges, float)
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    lo, hi = edges[:-1], edges[1:]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    weights = (half[:, None] * wg[None, :]).ravel()
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +153,7 @@ def criterion_05(seed):
     """Density of 1/(2 I_nu^(eta)): normalization and KS against MC."""
     out = []
     for i, (nu, eta) in enumerate([(1.0, 0.0), (2.0, 1.0)]):
-        v, w = gl_panels(np.geomspace(1e-10, 80.0, 260), 16)
+        v, w = gauss_legendre_panels(np.geomspace(1e-10, 80.0, 260), 16)
         norm = float(np.sum(w * my_density_grid(v, nu, eta)))
         s = np.sort(mc_half_inverse_samples(nu, eta, 100_000, 2000, seed + i))
         pts = s[:: s.size // 400]

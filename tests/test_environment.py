@@ -28,6 +28,7 @@ from cbbre.errors import (
     ParameterError,
     QuadratureInstabilityError,
 )
+from test_acceptance import gauss_legendre_panels
 
 
 class TestPaths:
@@ -129,9 +130,7 @@ class TestDufresne:
 
 class TestMyDensity:
     def test_normalization(self):
-        from cbbre.numerics import gl_panels
-
-        v, w = gl_panels(np.geomspace(1e-10, 80.0, 240), 16)
+        v, w = gauss_legendre_panels(np.geomspace(1e-10, 80.0, 240), 16)
         total = np.sum(w * my_density_grid(v, 1.0, 0.0))
         assert total == pytest.approx(1.0, abs=1e-3)
 

@@ -5,6 +5,7 @@ import pytest
 from scipy import special
 
 from cbbre.conditioned import U
+from cbbre.environment import my_density_grid
 from cbbre.errors import MethodError, ParameterError, RegimeError
 from cbbre.longterm import (
     asympt_explosion_constant,
@@ -20,7 +21,8 @@ from cbbre.longterm import (
     survival_scaled_trend,
 )
 from cbbre.mechanisms import derive_env
-from cbbre.numerics import gl_panels, u_half
+from cbbre.numerics import u_half
+from test_acceptance import gauss_legendre_panels
 
 
 class TestSurvivalProb:
@@ -69,6 +71,20 @@ class TestSurvivalProb:
         mc = survival_prob(1.0, 2.0, env, "mc", n_paths=20000, seed=5)
         quad = survival_prob(1.0, 2.0, env, "quadrature-hw")
         assert abs(mc.value - quad.value) <= 3 * mc.stderr
+
+    @pytest.mark.parametrize("beta", [0.1, 0.05])
+    @pytest.mark.parametrize("eta", [0.0, 2.0])
+    def test_small_beta_matches_fine_gauss_legendre(self, beta, eta):
+        # nu = 0.5 and k = 1: 1 - e^(-v^(1/beta)) turns from 0 to 1 within
+        # ~beta in log v, so the density's lattice must narrow with 1/beta (a
+        # fixed log-v step of 0.05 reads 5.5e-6 low at beta = 0.05); the
+        # reference sums the density on Gauss-Legendre panels 0.05 wide in log v
+        env = derive_env(1.0, 0.5 - 0.5 * eta * beta, beta, 0.5 * beta)
+        got = survival_prob(1.0, 2.0 / beta**2, env, "quadrature").value
+        lv, w = gauss_legendre_panels(np.arange(math.log(1e-30), math.log(100.0) + 1e-9, 0.05))
+        v = np.exp(lv)
+        ref = np.sum(w * v * my_density_grid(v, 0.5, eta) * -np.expm1(-v ** (1.0 / beta)))
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestExplosionProb:
@@ -200,7 +216,7 @@ class TestPhiEta:
         # for beta > 0 and e^{-u} for beta < 0, here on Gauss-Legendre panels
         # in log v from 1e-40 to 200
         env = derive_env(1.0, alpha, beta, c)
-        t, wt = gl_panels(np.linspace(math.log(1e-40), math.log(200.0), 121), 20)
+        t, wt = gauss_legendre_panels(np.linspace(math.log(1e-40), math.log(200.0), 121), 20)
         v = np.exp(t)
         w = wt * v * phi_eta_grid(v, env.eta)
         const = asympt_survival_constant if beta > 0 else asympt_explosion_constant
@@ -225,7 +241,7 @@ class TestPhiEta:
             a = 0.5 * (eta + 1.0)
             pref = (special.gamma(0.5 * (eta + 2.0)) * special.gamma(a)
                     / (math.sqrt(2.0) * np.pi) * math.exp(-v) * v ** (-a))
-            xi, w = gl_panels(np.arange(0.0, 60.0 / eta + 1.0, 0.25), 16)
+            xi, w = gauss_legendre_panels(np.arange(0.0, 60.0 / eta + 1.0, 0.25), 16)
             from scipy.special import hyperu
 
             f = xi * np.sinh(xi) * hyperu(a, 0.5, v * np.cosh(xi) ** 2)

@@ -7,27 +7,15 @@ from scipy import special
 from cbbre import numerics
 from cbbre.errors import ParameterError
 from cbbre.numerics import (
+    _gamma_lattice,
     _gamma_rule,
     gamma_power_expectation,
     gamma_power_laplace,
     gamma_power_series,
-    gl_panels,
     has_fast_kernel,
     u_half,
     u_half_diff,
 )
-
-
-class TestPanels:
-    def test_polynomial_exact(self):
-        x, w = gl_panels(np.linspace(0.0, 2.0, 5), order=8)
-        assert np.sum(w * x**7) == pytest.approx(2.0**8 / 8, rel=1e-14)
-
-    def test_additivity(self):
-        x1, w1 = gl_panels(np.array([0.0, 1.0]), 16)
-        x2, w2 = gl_panels(np.array([0.0, 0.5, 1.0]), 16)
-        f = lambda x: np.exp(-3 * x) * np.sin(x)
-        assert np.sum(w1 * f(x1)) == pytest.approx(np.sum(w2 * f(x2)), rel=1e-13)
 
 
 class TestConfluentKernel:
@@ -174,25 +162,14 @@ class TestKernelArgument:
         assert u_half_diff(a, np.empty((0, 3))).shape == (0, 3)
 
     def test_fallback_keeps_hyperu_values(self):
-        w = np.array([0.0, 1e-320, np.inf])
-        assert np.array_equal(u_half(4.5, w), special.hyperu(4.5, 0.5, w), equal_nan=True)
-
-
-class TestFitTable:
-    @pytest.mark.parametrize("a", [0.3, 1.0, 2.5, 4.0])
-    def test_matches_per_panel_conversion(self, a, monkeypatch):
-        # the fit's monomial table, converted in one pass, is the per-panel
-        # cheb2poly table bit for bit
-        seen = []
-        convert = numerics._cheb2poly_columns
-        monkeypatch.setattr(numerics, "_cheb2poly_columns",
-                            lambda c: seen.append(c) or convert(c))
-        k = numerics._Kernel(a)
-        k._fit()
-        (c,) = seen
-        cheb2poly = np.polynomial.chebyshev.cheb2poly
-        ref = np.array([cheb2poly(c[:, j]) for j in range(c.shape[1])]).T
-        assert np.array_equal(k.poly, ref)
+        # scipy's values at finite w, and the limits at w = inf, where hyperu
+        # returns NaN
+        w = np.array([0.0, 1e-320, 2.0])
+        assert np.array_equal(u_half(4.5, w), special.hyperu(4.5, 0.5, w))
+        u0 = special.hyperu(4.5, 0.5, 0.0)
+        inf = np.array([np.inf])
+        assert np.array_equal(u_half(4.5, inf), [0.0])
+        assert np.array_equal(u_half_diff(4.5, inf), [-u0])
 
 
 class TestGammaPowerLaplace:
@@ -259,6 +236,17 @@ class TestGammaRule:
                     ref = mpmath.quad(lambda u: mpmath.exp(-theta * u ** (p / s) - u ** (1 / s)),
                                       pts) / mpmath.gamma(s + 1)
                     assert abs(np.sum(w * np.exp(-theta * x**p)) - float(ref)) < 1e-15
+
+    @pytest.mark.parametrize("shape", [0.05, 1.0, 30.0, 100.0])
+    def test_lattice_sum_matches_mpmath(self, shape):
+        # the raw lattice sum, before the rule divides by it, is the integral
+        # of e^(s tau - s expm1(tau)), Gamma(s) e^s s^-s: no weight is off
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            s = mpmath.mpf(shape)
+            ref = float(mpmath.gamma(s) * mpmath.exp(s) * s**-s)
+        _, w = _gamma_lattice(shape)
+        assert w.sum() == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("shape", [0.05, 0.1, 0.3, 1.0, 2.0, 30.0])
     def test_keeps_the_mass_near_zero(self, shape):

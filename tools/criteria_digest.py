@@ -18,10 +18,14 @@ grids of `kernel_summary`, which cross every zone of the confluent kernel
 and every term count of both its series, at a = 0.3, 1, 2.5 and 4 and on
 the hyperu fallback; of `hw_kernel` on a fixed r grid at t = 0.8; of
 `density_cdf` on a fixed grid at criterion 5's (nu, eta) = (1, 0) and
-(2, 1); and of
+(2, 1); of
 the Hartman-Watson mass (`hw_marginal_expectation` of 1) at criterion 7's
-nu = 0.3125, 0.5 and 0.75 (eta = -1).  Equal records mean bit-identical
-kernel values.
+nu = 0.3125, 0.5 and 0.75 (eta = -1); and of the outer rules: the Gamma
+rule (`gamma_power_laplace` at shapes 0.05, 1 and 30, powers -10/9, 1, 2 and
+10 and five theta), the density route (`survival_prob(..., "quadrature")`
+at criterion 6's nine (z, t) cells) and the phi_eta rule (the weakly
+subcritical constant at eta = 0.5, z = 0.5, 1 and 2).  Equal records mean
+bit-identical kernel values.
 """
 from __future__ import annotations
 
@@ -60,6 +64,7 @@ def kernel_summary() -> dict:
     """{function: sha256 of its values on fixed grids}."""
     import numpy as np
     from cbbre import environment, longterm, numerics
+    from cbbre.mechanisms import derive_env
 
     w = np.concatenate([[0.0, 1e-320, np.inf], np.geomspace(1e-40, 1e20, 12001)])
     x = np.geomspace(1e-8, 60.0, 300)
@@ -78,6 +83,16 @@ def kernel_summary() -> dict:
         "hw_marginal_expectation": [
             environment.hw_marginal_expectation(np.ones_like, nu, -1.0)
             for nu in (0.3125, 0.5, 0.75)],
+        "gamma_power_laplace": [
+            [numerics.gamma_power_laplace(theta, shape, power)
+             for theta in (1e-3, 0.1, 1.0, 10.0, 1e3)]
+            for shape in (0.05, 1.0, 30.0) for power in (-10.0 / 9.0, 1.0, 2.0, 10.0)],
+        "survival_quadrature": [
+            [longterm.survival_prob(z, t, derive_env(1.0, 0.0, 1.0, 1.0), "quadrature").value
+             for z in (0.5, 1.0, 2.0)] for t in (1.5, 2.0, 3.0)],
+        "weakly_constant": [
+            [longterm.asympt_survival_constant(z, derive_env(1.0, 0.25, 1.0, 1.0)).constant
+             for z in (0.5, 1.0, 2.0)]],
     }
     return {name: hashlib.sha256(b"".join(np.ascontiguousarray(a, float).tobytes()
                                           for a in arrays)).hexdigest()
