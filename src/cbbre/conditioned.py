@@ -42,7 +42,7 @@ from .mechanisms import (
     StableImmigration,
     classify_regime,
 )
-from .numerics import _gamma, _gamma_rule, _row_sums, gamma_power_laplace
+from .numerics import _gamma_rule, _row_sums, gamma_power_laplace
 
 __all__ = [
     "U",
@@ -217,18 +217,23 @@ def asympt_conditioned_constant(z: float, env: EnvParams) -> AsymptoticConstant:
     if reg is ConditionedRegime.WEAKLY_SUPERCRITICAL:
         const = 8.0 / (b**3 * s**3 * ustar) * _gamma_h_integral(z, env, *_phi_weights(-eta))
         return AsymptoticConstant(reg.value, 1.5, env.m**2 / (2.0 * s**2), const, "quadrature")
-    if reg is ConditionedRegime.INTERMEDIATELY_SUPERCRITICAL:
-        # E[e^{-zk G^{1/b}} G^{1/b}] over G ~ Gamma(2) = Gamma(1/b+1) * laplace form
-        shape = 1.0 / b + 1.0
-        integral = _gamma(shape) * gamma_power_laplace(z * kk, shape, 1.0 / b)
-        const = z * kk * math.sqrt(2.0) / (b**2 * s * math.sqrt(np.pi) * ustar) * integral
-        return AsymptoticConstant(reg.value, 0.5, 0.5 * b**2 * s**2, const, "gamma-expectation")
-    if reg is ConditionedRegime.STRONGLY_SUPERCRITICAL:
-        shape = 1.0 / b - eta - 1.0
-        integral = _gamma(shape) * gamma_power_laplace(z * kk, shape, 1.0 / b)
-        const = -z * kk * (eta + 2.0) / (b * ustar * _gamma(-eta)) * integral
-        return AsymptoticConstant(reg.value, 0.0, 0.5 * b * (2.0 * env.m - b * s**2), const,
-                                  "gamma-expectation")
+    try:
+        if reg is ConditionedRegime.INTERMEDIATELY_SUPERCRITICAL:
+            # E[e^{-zk G^{1/b}} G^{1/b}] over G ~ Gamma(2) = Gamma(1/b+1) * laplace form
+            shape = 1.0 / b + 1.0
+            integral = math.gamma(shape) * gamma_power_laplace(z * kk, shape, 1.0 / b)
+            const = z * kk * math.sqrt(2.0) / (b**2 * s * math.sqrt(np.pi) * ustar) * integral
+            return AsymptoticConstant(reg.value, 0.5, 0.5 * b**2 * s**2, const,
+                                      "gamma-expectation")
+        if reg is ConditionedRegime.STRONGLY_SUPERCRITICAL:
+            shape = 1.0 / b - eta - 1.0
+            integral = math.gamma(shape) * gamma_power_laplace(z * kk, shape, 1.0 / b)
+            const = -z * kk * (eta + 2.0) / (b * ustar * math.gamma(-eta)) * integral
+            return AsymptoticConstant(reg.value, 0.0, 0.5 * b * (2.0 * env.m - b * s**2), const,
+                                      "gamma-expectation")
+    except OverflowError:
+        raise RegimeError(f"the {reg.value} constant needs a Gamma beyond double range "
+                          f"at beta = {b}, eta = {eta}") from None
     raise RegimeError("no conditioned regime for these parameters")
 
 

@@ -124,7 +124,10 @@ def load_config(doc: dict) -> ExperimentConfig:
                           "experiment.kind")
     numerics = _NUMERIC_DEFAULTS | dict(doc.get("numerics", {}))
     for key, val in numerics.items():
-        if key in _NUMERIC_DEFAULTS and not (isinstance(val, (int, float)) and val > 0):
+        if key not in _NUMERIC_DEFAULTS:
+            raise ConfigError(f"unknown key; known keys are {sorted(_NUMERIC_DEFAULTS)}",
+                              f"numerics.{key}")
+        if not (isinstance(val, (int, float)) and val > 0):
             raise ConfigError("must be a positive number", f"numerics.{key}")
     if "seed" not in doc:
         raise ConfigError("a seed is required (no entropy-derived defaults)", "seed")

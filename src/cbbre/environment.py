@@ -41,7 +41,7 @@ from .errors import (
     ParameterError,
     QuadratureInstabilityError,
 )
-from .numerics import _gammaln, _lattice, _row_blocks, _row_sums, u_half_diff
+from .numerics import _lattice, _row_blocks, _row_sums, u_half_diff
 
 __all__ = [
     "MCEstimate",
@@ -417,8 +417,8 @@ def my_density_grid(x, nu: float, eta: float):
     logC = (
         -0.5 * eta * eta * nu
         + np.pi**2 / (2.0 * nu)
-        + _gammaln(0.5 * (eta + 2.0))
-        + _gammaln(a)
+        + math.lgamma(0.5 * (eta + 2.0))
+        + math.lgamma(a)
         - math.log(math.sqrt(2.0) * np.pi**2 * math.sqrt(nu))
     )
     with np.errstate(divide="ignore"):  # log 0 = -inf: the density reads 0

@@ -48,7 +48,7 @@ from .mechanisms import (
     SurvivalRegime,
     classify_regime,
 )
-from .numerics import (_gamma, _gamma_laplace_rows, _gamma_rule, _gammaln, _lattice, _peak_shape,
+from .numerics import (_gamma_laplace_rows, _gamma_rule, _lattice, _peak_shape,
                        _row_sums, u_half)
 
 __all__ = [
@@ -224,8 +224,9 @@ def _phi_eta_rule(v, eta: float, step: float):
     wx = step * xi * np.sinh(xi)
     c2 = np.cosh(xi) ** 2
     out = _row_sums(lambda vv: u_half(a, np.outer(vv, c2)), v, wx)
-    pref = _gamma(0.5 * (eta + 2.0)) * _gamma(a) / (math.sqrt(2.0) * np.pi)
-    return pref * np.exp(-v) * v ** (-a) * out
+    # the prefactor enters the exponent, so it cannot overflow at large eta
+    log_pref = math.lgamma(0.5 * (eta + 2.0)) + math.lgamma(a) - math.log(math.sqrt(2.0) * np.pi)
+    return np.exp(log_pref - v - a * np.log(v)) * out
 
 
 def phi_eta_grid(v, eta: float):
@@ -284,7 +285,7 @@ def _critical_rows(q, p: float):
     q = np.asarray(q, float)
     shape, power = _peak_shape(1.0, p, float(q.max(initial=0.0)))
     x, w = _gamma_rule(shape, power)
-    w = w * np.exp(_gammaln(shape) - shape * np.log(x))
+    w = w * np.exp(math.lgamma(shape) - shape * np.log(x))
     g = (lambda u: -np.expm1(u)) if p > 0 else np.exp
     with np.errstate(over="ignore"):  # x**p = inf gives g = 0 or 1
         xp = -x**p
@@ -379,10 +380,16 @@ def _regime_table(env: EnvParams) -> _RegimeRow:
 
         return _RegimeRow(reg.value, 1.5, m**2 / (2.0 * s**2), "quadrature",
                           lambda z: pref * (sign * _row_sums(terms, _states(z), weight)))
-    if reg is SurvivalRegime.INTERMEDIATELY_SUBCRITICAL:
-        c, rate_power = math.sqrt(2.0 / np.pi) * kk * _gamma(1.0 / b) / (b * s), 0.5
-    else:  # strongly subcritical
-        c, rate_power = kk * _gamma(eta - 1.0 / b) / _gamma(eta - 2.0 / b), 0.0
+    try:
+        if reg is SurvivalRegime.INTERMEDIATELY_SUBCRITICAL:
+            c, rate_power = math.sqrt(2.0 / np.pi) * kk * math.gamma(1.0 / b) / (b * s), 0.5
+        else:  # strongly subcritical: the Gamma ratio in one exponent, finite
+            # where both Gammas overflow
+            lg = math.lgamma(eta - 1.0 / b) - math.lgamma(eta - 2.0 / b)
+            c, rate_power = kk * math.exp(lg), 0.0
+    except OverflowError:
+        raise RegimeError(f"the {reg.value} constant overflows a double "
+                          f"at beta = {b}, eta = {eta}") from None
     return _RegimeRow(reg.value, rate_power, -0.5 * (2.0 * m + s**2), "closed-form",
                       lambda z: c * _states(z))
 

@@ -35,7 +35,6 @@ import numpy as np
 
 from .environment import integral_exp_linear, log_exp_functional
 from .errors import ParameterError, UnsupportedMechanismError
-from .numerics import _gamma
 
 __all__ = [
     "Mechanism",
@@ -381,11 +380,6 @@ class Stable(Mechanism):
             raise ParameterError("beta must lie in (-1,0) or (0,1]")
         if self.c == 0 or math.copysign(1.0, self.c) != math.copysign(1.0, b):
             raise ParameterError("c must be nonzero with the same sign as beta")
-
-    @property
-    def jump_intensity_const(self) -> float:
-        """Coefficient of z^-(2+beta) dz in the jump measure (per unit mass)."""
-        return float(self.c * self.beta * (self.beta + 1.0) / _gamma(1.0 - self.beta))
 
     @property
     def infinite_mean(self) -> bool:

@@ -1,6 +1,6 @@
-"""Quadrature building blocks, and the package's only calls into scipy.
+"""Quadrature building blocks, and the confluent kernel U(a, 1/2, w).
 
-Five things live here because several modules need them:
+Four things live here because several modules need them:
 
 * uniform lattices (`_lattice`), on which every quadrature of the package
   is the trapezoid rule in a log variable,
@@ -8,7 +8,7 @@ Five things live here because several modules need them:
   at most ``_ROW_BUDGET`` float64 elements, and the kernel sums on them
   (`_row_sums`),
 * a fast vectorized confluent kernel ``U(a, 1/2, w)`` for every
-  ``0 < a <= 4`` (`u_half`), together with the cancellation-free difference
+  ``0 < a <= 100`` (`u_half`), together with the cancellation-free difference
   ``U(a,1/2,w) - U(a,1/2,0)`` (`u_half_diff`) that the oscillatory density
   integrals require at tiny arguments; the density of 1/(2 I_nu^(eta)) and
   phi_eta both reduce to it with a = (eta+1)/2,
@@ -18,25 +18,22 @@ Five things live here because several modules need them:
   so is the Laplace transform ``E[exp(-q * G^power)]`` for an array of q
   (`_gamma_laplace_rows`, placed by `_peak_shape` at the largest q for
   negative powers, exactly 1 at q = 0), whose one-point case is
-  `gamma_power_laplace`; the row sweeps of other modules sum on it too,
-* the scipy functions the package calls: Gamma and ln Gamma (`_gamma`,
-  `_gammaln`) and the ``hyperu`` fallback of `u_half` (`_hyperu`), all from
-  ``scipy.special``, which is imported when one of them is first called,
-  so ``import cbbre`` loads numpy only.
+  `gamma_power_laplace`; the row sweeps of other modules sum on it too.
+
+The package needs numpy only: Gamma and ln Gamma come from `math`.
 
 The confluent kernel has three zones in w: the Kummer connection series
-for small ``w``, a piecewise polynomial of log U in log w, interpolated at
-Chebyshev points (built once per ``a`` from a Laplace-integral lattice), in
-the middle, and the divergent
-2F0 asymptotic series for large ``w``.  Each call splits its points into
+below ``min(0.45, 1.8/a)``, a piecewise polynomial of log U in log w,
+interpolated at Chebyshev points (built once per ``a`` from a
+Laplace-integral lattice), in the middle, and the divergent 2F0 asymptotic
+series from ``60 + 8 a^2`` on.  Each call splits its points into
 the zones once.  Both series stop at the terms each band of ``w`` needs
 (`_power_sums`): most points need no term or one, and two comparisons
 against the first two cuts settle them; only the rest are sorted and
 grouped by their term count.  Every point sums its own terms in ascending
 order, so no layout, order or block size of the points changes a value.
-Accuracy is ~1e-13 relative; other ``a`` fall back to
-``scipy.special.hyperu``.  A negative or NaN argument raises
-`ParameterError`.
+Accuracy is ~1e-13 relative.  An ``a`` outside (0, 100], or a negative or
+NaN argument, raises `ParameterError`.
 """
 from __future__ import annotations
 
@@ -58,33 +55,6 @@ __all__ = [
 SQRT_PI = np.sqrt(np.pi)
 
 # ---------------------------------------------------------------------------
-# scipy, imported on first use
-# ---------------------------------------------------------------------------
-
-
-def _gamma(x):
-    """Gamma(x), by scipy.special (imported on first use)."""
-    from scipy import special
-
-    return special.gamma(x)
-
-
-def _gammaln(x):
-    """ln |Gamma(x)|, by scipy.special (imported on first use)."""
-    from scipy import special
-
-    return special.gammaln(x)
-
-
-def _hyperu(a, w):
-    """U(a, 1/2, w), by scipy.special (imported on first use), and its limit 0
-    at w = inf, where scipy returns NaN."""
-    from scipy import special
-
-    return np.where(w == np.inf, 0.0, special.hyperu(a, 0.5, w))
-
-
-# ---------------------------------------------------------------------------
 # Lattices and row sweeps
 # ---------------------------------------------------------------------------
 
@@ -94,9 +64,12 @@ def _lattice(lo: float, hi: float, h: float):
     return lo + h * np.arange(math.ceil((hi - lo) / h) + 1)
 
 
-#: float64 elements in one (rows x columns) temporary of a row sweep; at
-#: 512 KiB the allocator reuses a block's memory for the next block, where
-#: at 2 MiB it hands it back to the system and every block faults it in anew
+#: float64 elements (512 KiB) in one (rows x columns) temporary of a row
+#: sweep.  glibc maps a block this large afresh, and faults it in anew, until
+#: an earlier free of a larger block has raised its mmap threshold; then it
+#: reuses heap memory.  Measured on `my_density_grid` at 3,000 points:
+#: ~51 ms without such a free, 20-30 ms after one; budgets of 1 << 13 to
+#: 1 << 15 took 50-60 ms, as their freed heap tops go back to the system too
 _ROW_BUDGET = 1 << 16
 
 
@@ -126,8 +99,8 @@ def _row_sums(block, x, w, noise: bool = False):
 # Confluent hypergeometric kernel U(a, 1/2, w)
 # ---------------------------------------------------------------------------
 
-_KERNEL_MAX_A = 4.0
-_SERIES_MAX_W = 0.45  # Kummer series below, fitted log U above
+_KERNEL_MAX_A = 100.0
+_SERIES_MAX_W = 0.45  # Kummer series below min(this, 1.8/a), fitted log U above
 _FIT_PANEL = 0.25     # panel width in log w of the piecewise fit
 _FIT_DEGREE = 8
 _N_TERMS = 40         # terms held per series; either zone needs at most 18
@@ -148,12 +121,14 @@ class _Kernel:
     def __init__(self, a: float):
         self.a = a
         k = np.arange(1, _N_TERMS + 1)
-        self.u0 = SQRT_PI / _gamma(a + 0.5)
-        self.u1 = 2.0 * SQRT_PI / _gamma(a)
+        self.u0 = SQRT_PI / math.gamma(a + 0.5)
+        self.u1 = 2.0 * SQRT_PI / math.gamma(a)
         # Kummer connection formula (DLMF 13.2.42) at b = 1/2:
         #   U - u0 = u0 sum_k c1_k w^k - u1 sqrt(w) (1 + sum_k c2_k w^k),
-        # and |U - u0| >= u1 sqrt(w)/3 for w < _SERIES_MAX_W, a <= 4, so
-        # term k is needed only where w exceeds kummer_cuts[k-1]
+        # and |U - u0| >= u1 sqrt(w)/3 up to w ~ 2.0/a (measured with mpmath
+        # at a = 2 ... 100), so below series_max term k is needed only
+        # where w exceeds kummer_cuts[k-1]
+        self.series_max = min(_SERIES_MAX_W, 1.8 / a)
         self.c1 = np.cumprod((a + k - 1.0) / ((k - 0.5) * k))
         self.c2 = np.cumprod((a + k - 0.5) / ((k + 0.5) * k))
         tol = _TERM_EPS / 3.0
@@ -172,12 +147,12 @@ class _Kernel:
         # asymptotic zone, from the Laplace-integral quadrature; each panel
         # holds the monomial coefficients of its interpolant at the
         # Chebyshev points of the local variable t in [-1, 1]
-        lo, hi = np.log(_SERIES_MAX_W), np.log(_wlim(self.a))
+        lo, hi = np.log(self.series_max), np.log(_wlim(self.a))
         n = int(np.ceil((hi - lo) / _FIT_PANEL))
         h = (hi - lo) / n
         x = np.cos(np.pi * (np.arange(_FIT_DEGREE + 1) + 0.5) / (_FIT_DEGREE + 1))
         u = lo + h * (np.arange(n)[:, None] + 0.5 * (x + 1.0))
-        f = np.log(_u_quad_logt(self.a, np.exp(u.ravel()))) + self.a * u.ravel()
+        f = _log_u_quad(self.a, np.exp(u.ravel())) + self.a * u.ravel()
         self.poly = np.polynomial.polynomial.polyfit(x, f.reshape(n, -1).T, _FIT_DEGREE)
         self.fit_lo, self.fit_scale, self.n_panels = lo, 1.0 / h, n
 
@@ -216,21 +191,16 @@ class _Kernel:
         return r
 
     def values(self, w, diff: bool):
-        """U(a, 1/2, w), or U - u0 when ``diff``, each zone evaluated once;
-        above the Kummer zone an ``a`` beyond the fast kernel takes hyperu."""
+        """U(a, 1/2, w), or U - u0 when ``diff``, each zone evaluated once."""
         out = np.empty_like(w)
-        small = w < _SERIES_MAX_W
-        if has_fast_kernel(self.a):
-            big = w >= _wlim(self.a)
-            zones = ((~(small | big), self.fitted), (big, self.asymptotic))
-        else:
-            zones = ((~small, functools.partial(_hyperu, self.a)),)
+        small = w < self.series_max
+        big = w >= _wlim(self.a)
         if small.any():
             v = self.kummer_diff(w[small])
             if not diff:
                 v += self.u0
             out[small] = v
-        for zone, evaluate in zones:
+        for zone, evaluate in ((~(small | big), self.fitted), (big, self.asymptotic)):
             if zone.any():
                 v = evaluate(w[zone])
                 if diff:
@@ -277,27 +247,40 @@ def _power_sums(x, key, cuts, coefs):
     return out
 
 
-def _u_quad_logt(a, w):
-    # Laplace integral of DLMF 13.4.4 in u = log t, by the trapezoid rule on
-    # u = -48, -47.8, ..., 8; below u = -48 the integrand is e^(a u) to double
-    # precision, and the lattice's own nodes there sum to h e^(a(lo - h)) / (1 - e^(-a h))
-    lo, h = -48.0, 0.2
+def _log_u_quad(a, w):
+    # log U(a, 1/2, w) from the Laplace integral of DLMF 13.4.4 in u = log t,
+    # by the trapezoid rule on u = -48, -48 + h, ..., 8, the step
+    # h = 0.2 / max(1, sqrt(a/4)) narrowing with the integrand's peak; below
+    # u = -48 the integrand is e^(a u) to double precision, and the lattice's
+    # own nodes there sum to h e^(a(lo - h)) / (1 - e^(-a h)).  Each row's
+    # largest term is factored out of its sum, so no term underflows
+    lo, h = -48.0, 0.2 / max(1.0, math.sqrt(a / 4.0))
     u = _lattice(lo, 8.0, h)
     t = np.exp(u)
     base = a * u - np.log1p(t) * (a + 0.5)
-    E = np.exp(base[None, :] - np.outer(np.asarray(w, float), t))
-    return h * (E.sum(axis=1) + math.exp(a * (lo - h)) / -math.expm1(-a * h)) / _gamma(a)
+    tail = a * (lo - h) - math.log(-math.expm1(-a * h))
+    out = np.empty(len(w))
+    for rows in _row_blocks(len(w), t.size):
+        E = np.outer(w[rows], t)
+        np.subtract(base, E, out=E)
+        peak = E.max(axis=1)
+        E -= peak[:, None]
+        np.exp(E, out=E)
+        out[rows] = peak + np.log(E.sum(axis=1) + np.exp(tail - peak))
+    return out + (math.log(h) - math.lgamma(a))
 
 
 def _kernel(a: float) -> _Kernel:
     a = float(a)
     if a not in _KERNEL_CACHE:
+        if not has_fast_kernel(a):
+            raise ParameterError(f"U(a, 1/2, w) needs 0 < a <= {_KERNEL_MAX_A:g}, got a = {a!r}")
         _KERNEL_CACHE[a] = _Kernel(a)
     return _KERNEL_CACHE[a]
 
 
 def has_fast_kernel(a: float) -> bool:
-    """True when u_half evaluates U(a, 1/2, .) itself rather than by scipy."""
+    """True when `u_half` and `u_half_diff` take this a: 0 < a <= 100."""
     return 0.0 < a <= _KERNEL_MAX_A
 
 
@@ -311,19 +294,17 @@ def _kernel_argument(w):
 
 
 def u_half(a: float, w):
-    """U(a, 1/2, w) for w >= 0, vectorized.
+    """U(a, 1/2, w) for 0 < a <= 100 and w >= 0, vectorized.
 
-    For 0 < a <= 4 the value is, by band of w: the Kummer connection series
-    below w = 0.45, a piecewise polynomial fit of log U in log w at Chebyshev
-    points (built once per ``a`` from the Laplace integral) up to 60 + 8a^2, and the 2F0
-    asymptotic series beyond.  Each series stops at the terms its band of w
-    needs.  The relative error is below ~1e-13.  Other ``a`` go to scipy's
-    hyperu (with the limit 0 at w = inf).  A negative or NaN w raises
-    ParameterError.
+    The value is, by band of w: the Kummer connection series below
+    w = min(0.45, 1.8/a), a piecewise polynomial fit of log U in log w at
+    Chebyshev points (built once per ``a`` from the Laplace integral) up to
+    60 + 8a^2, and the 2F0 asymptotic series beyond.  Each series stops at
+    the terms its band of w needs.  The relative error is below ~1e-13
+    wherever U is a normal double.  An ``a`` outside (0, 100], or a negative
+    or NaN w, raises ParameterError.
     """
     w = _kernel_argument(w)
-    if not has_fast_kernel(a):
-        return _hyperu(a, w)
     return _kernel(a).values(w, diff=False)
 
 
@@ -332,9 +313,8 @@ def u_half_diff(a: float, w):
 
     Direct subtraction is catastrophic for small w (both terms approach
     sqrt(pi)/Gamma(a+1/2)); the Kummer connection formula gives the
-    difference as an explicit series there.  Above the Kummer zone, an
-    ``a`` beyond 4 goes to scipy's hyperu.  A negative or NaN w raises
-    ParameterError.
+    difference as an explicit series there.  The range of ``a`` and of w
+    is that of `u_half`.
     """
     return _kernel(a).values(_kernel_argument(w), diff=True)
 
@@ -420,7 +400,7 @@ def _gamma_laplace_rows(q, shape: float, power: float):
         raise ValueError("Gamma shape must be positive")
     s, p = _peak_shape(shape, power, float(q.max()))
     x, w = _gamma_rule(s, p)
-    lead = _gammaln(s) - _gammaln(shape) + (shape - s) * np.log(x)  # 0 when s = shape
+    lead = math.lgamma(s) - math.lgamma(shape) + (shape - s) * np.log(x)  # 0 when s = shape
     with np.errstate(over="ignore"):  # G^p = inf at the smallest nodes when p < 0
         xp = x**power
     out[pos] = _row_sums(lambda qq: np.exp(lead - np.outer(qq, xp)), q[pos], w)
@@ -445,12 +425,16 @@ def gamma_power_series(theta: float, shape: float, power: float, n_terms: int = 
 
     Diverges factorially for power > 1; returned with the index of the
     smallest term so callers can judge how asymptotic the truncation is.
+    A term at a pole of Gamma, or a power of theta or ln Gamma past double
+    range, raises ParameterError.
     """
-    terms = []
-    logg0 = _gammaln(shape)
-    for n in range(n_terms):
-        lg = _gammaln(n * power + shape) - logg0 - _gammaln(n + 1)
-        terms.append(((-theta) ** n) * np.exp(lg))
-    terms = np.array(terms)
+    try:
+        lg = [math.lgamma(n * power + shape) - math.lgamma(shape) - math.lgamma(n + 1.0)
+              for n in range(n_terms)]
+        powers = [(-theta) ** n for n in range(n_terms)]
+    except (ValueError, OverflowError):
+        raise ParameterError(f"the Gamma series at theta {theta}, shape {shape}, power "
+                             f"{power} meets a pole of Gamma or leaves double range") from None
+    terms = np.array(powers) * np.exp(lg)
     k_min = int(np.argmin(np.abs(terms)[1:]) + 1) if n_terms > 1 else 0
     return float(np.sum(terms[: k_min + 1])), k_min

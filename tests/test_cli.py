@@ -55,6 +55,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="mechanism"):
             load_config(doc)
 
+    def test_unknown_numerics_key(self, tmp_path):
+        # a misspelt key would otherwise leave its default in force unseen
+        doc = dict(BASE) | {"numerics": {"dT": 0.01}, "out": str(tmp_path / "out")}
+        with pytest.raises(ConfigError, match=r"numerics\.dT"):
+            load_config(doc)
+        assert main(["asymptotics", "--config", str(write_cfg(tmp_path, doc))]) == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestCli:
     def test_asymptotics_constant(self, tmp_path):

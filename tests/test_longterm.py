@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special
 
-from cbbre.conditioned import U
+from cbbre.conditioned import U, asympt_conditioned_constant
 from cbbre.environment import my_density_grid
 from cbbre.errors import MethodError, ParameterError, RegimeError
 from cbbre.longterm import (
@@ -154,6 +155,32 @@ class TestSurvivalConstants:
         c = asympt_survival_constant(1.0, env)
         assert c.constant == pytest.approx(1.0, rel=1e-12)
         assert c.rate_exp == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("alpha", [-100.0, -3.0])
+    def test_strongly_subcritical_beta_one_is_k_eta_minus_two(self, alpha):
+        # Gamma(eta - 1)/Gamma(eta - 2) = eta - 2; at alpha = -100 (eta = 201)
+        # both Gammas overflow a double while their ratio does not
+        env = derive_env(1.0, alpha, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = asympt_survival_constant(1.0, env).constant
+        assert c == pytest.approx(env.k * (env.eta - 2.0), rel=1e-13)
+
+    def test_strongly_subcritical_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        env = derive_env(1.0, -3.0, 0.5, 1.0)  # m = -3.5, eta = 14, k = 1/16
+        with mpmath.workdps(30):
+            ref = float(2 * env.k * mpmath.gamma(env.eta - 2) / mpmath.gamma(env.eta - 4))
+        assert asympt_survival_constant(2.0, env).constant == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("const, alpha", [
+        (asympt_survival_constant, -0.5),  # intermediately subcritical: Gamma(200)
+        (asympt_survival_constant, -3.0),  # strongly: Gamma(1200)/Gamma(1000)
+        (asympt_conditioned_constant, 0.505),  # intermediately supercritical: Gamma(201)
+    ])
+    def test_constants_past_double_range_raise(self, const, alpha):
+        with pytest.raises(RegimeError, match="double"):
+            const(1.0, derive_env(1.0, alpha, 0.005, 0.005))
 
     def test_intermediately_subcritical_value(self):
         env = derive_env(1.0, -0.5, 1.0, 1.0)  # m=-1

@@ -210,13 +210,6 @@ class TestMechanismValidation:
         imm = ImmigrationMechanism(0.5, StableImmigration(0.5, 2.0))
         assert imm.eval_phi(4.0) == pytest.approx(0.5 * 4.0 + 2.0 * 2.0)
 
-    def test_stable_jump_intensity_constant(self):
-        from scipy.special import gamma
-
-        mech = Stable(0.0, 0.5, 2.0)
-        assert mech.jump_intensity_const == pytest.approx(
-            2.0 * 0.5 * 1.5 / gamma(0.5))
-
 
 class TestDeriveEnv:
     @pytest.mark.parametrize(

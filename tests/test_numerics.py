@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -27,7 +28,8 @@ class TestConfluentKernel:
         ref = special.hyperu(a, 0.5, w)
         np.testing.assert_allclose(u_half(a, w), ref, rtol=1e-7)
 
-    @pytest.mark.parametrize("a", [0.3, 0.5, 0.75, 1.0, 1.35, 2.2, 2.5, 3.0, 3.7, 4.0])
+    @pytest.mark.parametrize("a", [0.3, 0.5, 0.75, 1.0, 1.35, 2.2, 2.5, 3.0, 3.7, 4.0,
+                                   4.5, 7.5, 20.0, 50.0, 100.0])
     def test_matches_mpmath(self, a):
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
@@ -42,16 +44,27 @@ class TestConfluentKernel:
             assert u_half(a, np.array([1e-14]))[0] == pytest.approx(lim, rel=1e-6)
 
     def test_fallback_for_generic_a(self):
-        # beyond a = 4 the kernel defers to scipy
+        # beyond a = 4 the same kernel serves, its zones following a
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
         w = np.array([0.7, 3.0])
-        np.testing.assert_allclose(u_half(4.5, w), special.hyperu(4.5, 0.5, w), rtol=1e-10)
+        ref = np.array([float(mpmath.hyperu(4.5, 0.5, x)) for x in w])
+        np.testing.assert_allclose(u_half(4.5, w), ref, rtol=1e-12)
 
     def test_fast_kernel_flag(self):
         assert has_fast_kernel(2.5)
         assert has_fast_kernel(0.8)
         assert has_fast_kernel(4.0)
-        assert not has_fast_kernel(4.5)
+        assert has_fast_kernel(4.5)
+        assert has_fast_kernel(100.0)
         assert not has_fast_kernel(0.0)
+        assert not has_fast_kernel(100.5)
+
+    @pytest.mark.parametrize("func", [u_half, u_half_diff])
+    @pytest.mark.parametrize("a", [0.0, -1.0, 100.5])
+    def test_rejects_a_outside_its_range(self, func, a):
+        with pytest.raises(ParameterError, match=re.escape(f"a = {a!r}")):
+            func(a, np.array([0.5, 2.0]))
 
 
 class TestKernelDifference:
@@ -67,7 +80,7 @@ class TestKernelDifference:
         mask = w < 1e-6
         np.testing.assert_allclose(got[mask], ref[mask], rtol=1e-5)
 
-    @pytest.mark.parametrize("a", [0.3, 2.2, 4.0])
+    @pytest.mark.parametrize("a", [0.3, 2.2, 4.0, 20.0, 100.0])
     def test_matches_mpmath(self, a):
         # the Kummer connection formula at 50 digits, where the subtraction
         # U - U(0) is still exact enough
@@ -114,15 +127,16 @@ class TestKernelBandEdges:
     """The last point before and the first after every cut at which a series
     gains or drops a term, and both zone switches."""
 
-    @pytest.mark.parametrize("a", [0.3, 1.0, 2.5, 4.0])
+    @pytest.mark.parametrize("a", [0.3, 1.0, 2.5, 4.0, 4.5, 7.5, 20.0, 50.0, 100.0])
     def test_matches_mpmath_either_side_of_every_cut(self, a):
+        # the Kummer zone ends at min(0.45, 1.8/a)
         pytest.importorskip("mpmath")
         k = numerics._kernel(a)
-        kummer = k.kummer_cuts[k.kummer_cuts < numerics._SERIES_MAX_W]
+        assert k.series_max == min(0.45, 1.8 / a)
+        kummer = k.kummer_cuts[k.kummer_cuts < k.series_max]
         asym = -k.asym_cuts
         asym = asym[asym > numerics._wlim(a)]
-        edges = np.unique(np.concatenate([kummer, asym, [numerics._SERIES_MAX_W,
-                                                         numerics._wlim(a)]]))
+        edges = np.unique(np.concatenate([kummer, asym, [k.series_max, numerics._wlim(a)]]))
         w = np.concatenate([np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
         ref = np.array([_mp_u(a, x) for x in w])
         np.testing.assert_allclose(u_half(a, w), ref[:, 0], rtol=1e-12)
@@ -151,25 +165,15 @@ class TestKernelArgument:
         with pytest.raises(ParameterError, match=re.escape(f"w = {bad!r}")):
             func(a, w)
 
-    @pytest.mark.parametrize("a", [0.3, 1.0, 2.5, 4.0])
+    @pytest.mark.parametrize("a", [0.3, 1.0, 2.5, 4.0, 4.5, 50.0])
     def test_values_at_zero_tiny_and_infinity(self, a):
-        u0 = np.sqrt(np.pi) / special.gamma(a + 0.5)
-        u1 = 2.0 * np.sqrt(np.pi) / special.gamma(a)
+        u0 = np.sqrt(np.pi) / math.gamma(a + 0.5)
+        u1 = 2.0 * np.sqrt(np.pi) / math.gamma(a)
         w = np.array([0.0, 1e-320, np.inf])
         assert np.array_equal(u_half(a, w), [u0, u0, 0.0])
         assert np.array_equal(u_half_diff(a, w), [0.0, -u1 * np.sqrt(1e-320), -u0])
         assert u_half(a, np.empty(0)).size == 0
         assert u_half_diff(a, np.empty((0, 3))).shape == (0, 3)
-
-    def test_fallback_keeps_hyperu_values(self):
-        # scipy's values at finite w, and the limits at w = inf, where hyperu
-        # returns NaN
-        w = np.array([0.0, 1e-320, 2.0])
-        assert np.array_equal(u_half(4.5, w), special.hyperu(4.5, 0.5, w))
-        u0 = special.hyperu(4.5, 0.5, 0.0)
-        inf = np.array([np.inf])
-        assert np.array_equal(u_half(4.5, inf), [0.0])
-        assert np.array_equal(u_half_diff(4.5, inf), [-u0])
 
 
 class TestGammaPowerLaplace:
@@ -218,6 +222,12 @@ class TestGammaPowerLaplace:
         # for power=1 the series is convergent and matches the closed form
         val, _ = gamma_power_series(0.1, 2.0, 1.0, n_terms=30)
         assert val == pytest.approx(1.1**-2.0, rel=1e-8)
+
+    def test_series_at_a_pole_or_past_double_range_raises(self):
+        # the term n = 2 needs Gamma(0); theta^19 = 1e380 overflows
+        for theta, power in ((0.1, -0.5), (1e20, 1.0)):
+            with pytest.raises(ParameterError, match="pole of Gamma or leaves double range"):
+                gamma_power_series(theta, 1.0, power)
 
 
 class TestGammaRule:

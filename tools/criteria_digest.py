@@ -15,8 +15,8 @@ byte-identical acceptance summaries.
 One more child writes the ``kernels`` record: the sha256 of the bytes of
 `u_half`, `u_half_diff`, `my_density_grid` and `phi_eta_grid` on the fixed
 grids of `kernel_summary`, which cross every zone of the confluent kernel
-and every term count of both its series, at a = 0.3, 1, 2.5 and 4 and on
-the hyperu fallback; of `hw_kernel` on a fixed r grid at t = 0.8; of
+and every term count of both its series, at a = 0.3, 1, 2.5, 4, 4.5, 7.5,
+20, 50 and 100; of `hw_kernel` on a fixed r grid at t = 0.8; of
 `density_cdf` on a fixed grid at criterion 5's (nu, eta) = (1, 0) and
 (2, 1); of
 the Hartman-Watson mass (`hw_marginal_expectation` of 1) at criterion 7's
@@ -60,6 +60,11 @@ def run_criterion(root: Path, num: int) -> tuple[str, float, float]:
     return text, wall, peak_mb
 
 
+#: the kernel's drifts a: both sides of a = 4, where its zones start to
+#: follow a, up to the end of its range at 100
+_KERNEL_A = (0.3, 1.0, 2.5, 4.0, 4.5, 7.5, 20.0, 50.0, 100.0)
+
+
 def kernel_summary() -> dict:
     """{function: sha256 of its values on fixed grids}."""
     import numpy as np
@@ -70,9 +75,8 @@ def kernel_summary() -> dict:
     x = np.geomspace(1e-8, 60.0, 300)
     v = np.geomspace(1e-4, 30.0, 300)
     values = {
-        "u_half": [numerics.u_half(a, w) for a in (0.3, 1.0, 2.5, 4.0)]
-        + [numerics.u_half(4.5, w[::40])],
-        "u_half_diff": [numerics.u_half_diff(a, w) for a in (0.3, 1.0, 2.5, 4.0, 4.5)],
+        "u_half": [numerics.u_half(a, w) for a in _KERNEL_A],
+        "u_half_diff": [numerics.u_half_diff(a, w) for a in _KERNEL_A],
         "my_density_grid": [environment.my_density_grid(x, nu, eta) for nu, eta in
                             ((0.5, 0.0), (2.5, 1.0), (5.0, 4.0), (10.0, -0.5))]
         + [environment.my_density_grid(x[::3], 3.0, 7.5)],
