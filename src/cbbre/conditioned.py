@@ -226,9 +226,12 @@ def asympt_conditioned_constant(z: float, env: EnvParams) -> AsymptoticConstant:
             return AsymptoticConstant(reg.value, 0.5, 0.5 * b**2 * s**2, const,
                                       "gamma-expectation")
         if reg is ConditionedRegime.STRONGLY_SUPERCRITICAL:
+            # Gamma(shape) / Gamma(-eta) as one exponent: each factor leaves
+            # double range long before their ratio does
             shape = 1.0 / b - eta - 1.0
-            integral = math.gamma(shape) * gamma_power_laplace(z * kk, shape, 1.0 / b)
-            const = -z * kk * (eta + 2.0) / (b * ustar * math.gamma(-eta)) * integral
+            ratio = math.exp(math.lgamma(shape) - math.lgamma(-eta))
+            integral = ratio * gamma_power_laplace(z * kk, shape, 1.0 / b)
+            const = -z * kk * (eta + 2.0) / (b * ustar) * integral
             return AsymptoticConstant(reg.value, 0.0, 0.5 * b * (2.0 * env.m - b * s**2), const,
                                       "gamma-expectation")
     except OverflowError:

@@ -11,7 +11,9 @@ environment segment to the next, the Neveu / Feller / stable closed forms,
 and the conditional survival and explosion probabilities they imply.  A
 single path, as every ``solve_backward`` call has, takes the same steps on
 Python floats: there numpy's cost per call, several microseconds per psi
-evaluation, would outweigh the arithmetic.
+evaluation, would outweigh the arithmetic.  The solvers look psi up in
+this module (``eval_psi``, ``eval_psi0``) once per solve, so a wrapper
+installed before a solve sees every psi call it makes.
 
 The declared path model is linear interpolation of the environment between
 grid points.  Closed-form path functionals integrate exp(linear) segments
@@ -98,8 +100,6 @@ class FlowSolution:
 
 
 def _rhs_factory(mech: Mechanism, flavor: str, one_path: bool = False):
-    # psi is looked up in this module at call time, so a wrapped
-    # eval_psi/eval_psi0 sees every call
     if flavor not in ("K", "K0"):
         raise ParameterError(f"flavor must be 'K' or 'K0', not {flavor!r}")
     if flavor == "K0":
@@ -107,9 +107,9 @@ def _rhs_factory(mech: Mechanism, flavor: str, one_path: bool = False):
             raise UnsupportedMechanismError(
                 "K0-flavored environments require a finite-mean mechanism"
             )
-        psi = lambda u: eval_psi0(mech, u)
+        psi = eval_psi0
     else:
-        psi = lambda u: eval_psi(mech, u)
+        psi = eval_psi
 
     if one_path:
         def rhs(d, v):
@@ -118,15 +118,15 @@ def _rhs_factory(mech: Mechanism, flavor: str, one_path: bool = False):
             # those values do
             try:
                 ed = math.exp(d)
-                return ed * psi((0.0 if v < 0.0 else v) / ed)
+                return ed * psi(mech, (0.0 if v < 0.0 else v) / ed)
             except (OverflowError, ZeroDivisionError):
                 return math.nan
 
         return rhs
 
-    def rhs(ed, v):
-        # ed = exp(delta_s)
-        return ed * psi(np.maximum(v, 0.0) / ed)
+    def rhs(ed, v, out):
+        # ed = exp(delta_s); f is written into the stage row ``out``
+        np.multiply(ed, psi(mech, np.maximum(v, 0.0) / ed), out=out)
 
     return rhs
 
@@ -170,6 +170,12 @@ def solve_backward_batch(mech: Mechanism, lam: float, t: float, grid, values,
     ``2**max_halvings`` steps raises ``SolverError``, unless v has blown up
     there.
 
+    At each segment's end one min and one max over the paths decide the
+    rest: v has blown up when either is NaN or infinite or the max exceeds
+    ``V_BLOWUP``; a min below ``-10 tol`` raises ``SolverError`` (negative
+    excursion); and only a min below ``V_FLOOR`` sends the values through
+    the floor, where |v| < ``V_FLOOR`` becomes 0 and negative v becomes 0.
+
     One path (``values`` of one row) takes the same steps, tries and checks
     on Python floats (`_solve_one`), free of numpy's per-call cost.
     """
@@ -185,62 +191,81 @@ def solve_backward_batch(mech: Mechanism, lam: float, t: float, grid, values,
                           g.tolist(), V[0].tolist(), tol, max_sub)
     rhs = _rhs_factory(mech, flavor)
     dV = np.diff(V, axis=1)
+    gl = g.tolist()
 
     out = np.empty_like(V)
     out[:, -1] = lam
     v = np.full(V.shape[0], float(lam))
     k = np.empty((_DP_C.size, V.shape[0]))  # stages; k[0] is f at the step's start
-    k[0] = rhs(np.exp(V[:, -1]), v)
+    rhs(np.exp(V[:, -1]), v, k[0])
+    # for each later stage st: the stages before it, k[:st], and its row k[st]
+    stages = tuple((k[:st], k[st]) for st in range(1, _DP_C.size))
+    fracs = {}  # n_sub -> stage-time fractions, as _stage_fractions builds them
     n_sub = 1
     blowup = None
     for j in range(g.size - 2, -1, -1):
-        s_lo = g[j]
+        s_lo = gl[j]
         k_top = k[0].copy()
         while True:
-            v_new, err = _dp_span(rhs, k, v, V[:, j], dV[:, j], g[j + 1] - s_lo,
-                                  n_sub, tol if n_sub < max_sub else math.inf)
+            frac = fracs.get(n_sub)
+            if frac is None:
+                frac = fracs[n_sub] = _stage_fractions(n_sub)
+            v_new, err = _dp_span(rhs, k, stages, v, V[:, j], dV[:, j],
+                                  gl[j + 1] - s_lo, frac,
+                                  tol if n_sub < max_sub else math.inf)
             if err < tol or n_sub >= max_sub:
                 break
             n_sub *= 2
             k[0] = k_top
-        if not np.isfinite(v_new).all() or (v_new > V_BLOWUP).any():
-            blowup = float(s_lo)
+        # the smallest and largest end value: a NaN makes both NaN
+        lo, hi = np.minimum.reduce(v_new), np.maximum.reduce(v_new)
+        if not (hi <= V_BLOWUP and lo > -math.inf):
+            blowup = s_lo
             out[:, : j + 1] = np.inf
             break
         if not err < tol:
             raise SolverError(
                 f"no convergence on the segment ending at s = {s_lo:.6g}: error "
                 f"estimate {err:.3g} >= tol {tol:.3g} with {n_sub} steps")
-        if (v_new < -tol * 10).any():
+        if lo < -tol * 10:
             raise SolverError(f"negative excursion at s = {s_lo:.6g}")
-        v = np.where(np.abs(v_new) < V_FLOOR, 0.0, np.maximum(v_new, 0.0))
-        if not np.array_equal(v, v_new):
-            k[0] = rhs(np.exp(V[:, j]), v)
+        v = v_new
+        if lo < V_FLOOR:
+            v = np.where(np.abs(v_new) < V_FLOOR, 0.0, np.maximum(v_new, 0.0))
+            if not np.array_equal(v, v_new):
+                rhs(np.exp(V[:, j]), v, k[0])
         out[:, j] = v
         if err < tol / 64 and n_sub > 1:
             n_sub //= 2
     return out, blowup
 
 
-def _dp_span(rhs, k, v, d_lo, dd, length, n_sub, stop):
-    """``n_sub`` Dormand-Prince steps backward across one segment, along
+def _stage_fractions(n_sub):
+    """Where each later stage of each of ``n_sub`` steps sits on a segment,
+    as a fraction of the segment from its bottom, shaped (n_sub, 6, 1)."""
+    return (1.0 - (np.arange(n_sub)[:, None] + _DP_C[1:]) / n_sub)[:, :, None]
+
+
+def _dp_span(rhs, k, stages, v, d_lo, dd, length, frac, stop):
+    """``len(frac)`` Dormand-Prince steps backward across one segment, along
     which delta runs linearly from ``d_lo + dd`` at its top to ``d_lo``.
 
-    ``k[0]`` holds f at the start and, on return, f at the end.  Returns
-    the end value and the largest error estimate; returns early once that
+    ``k[0]`` holds f at the start and, on return, f at the end; ``stages``
+    holds the views (``k[:st]``, ``k[st]``) for st = 1, ..., 6.  Returns the
+    end value and the largest error estimate; returns early once that
     estimate exceeds ``stop``.
     """
-    h = -length / n_sub
+    h = -length / len(frac)
     hA = h * _DP_A
+    rows = [hA[st, :st] for st in range(1, _DP_C.size)]
     hE = h * _DP_E
-    frac = 1.0 - (np.arange(n_sub)[:, None] + _DP_C[1:]) / n_sub
-    ed = np.exp(d_lo + frac[:, :, None] * dd)  # exp(delta) at every later stage
+    ed = np.exp(d_lo + frac * dd)  # exp(delta) at every later stage
     err = 0.0
-    for i in range(n_sub):
-        for st in range(1, _DP_C.size):
-            y = v + hA[st, :st] @ k[:st]
-            k[st] = rhs(ed[i, st - 1], y)
-        e = float(np.max(np.abs(hE @ k) / np.maximum(1.0, np.abs(y))))
+    for ed_i in ed:
+        for row, (before, k_st), ed_st in zip(rows, stages, ed_i):
+            y = v + np.dot(row, before)
+            rhs(ed_st, y, k_st)
+        e = float(np.maximum.reduce(np.abs(np.dot(hE, k)) / np.maximum(1.0, np.abs(y))))
         err = max(err, e) if e == e else math.inf  # a NaN estimate fails
         if err > stop:
             return y, err

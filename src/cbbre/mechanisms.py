@@ -611,13 +611,20 @@ class ImmigrationMechanism:
 
     def eval_phi(self, u):
         """Evaluate the immigration mechanism phi(u), u >= 0 (vectorized)."""
-        u = np.asarray(u, float)
-        if np.any(u < 0):
-            raise ParameterError("phi is defined on u >= 0 only")
+        u = _nonnegative(u, "phi")
         out = self.d * u
         if self.nu is not None:
             out = out + self.nu.phi(u)
         return out if np.ndim(out) else float(out)
+
+
+def _nonnegative(u, name: str):
+    """u as a float array, checked u >= 0 by one reduction: NaN and -0.0
+    pass, as they do with u < 0, and an empty array is not reduced."""
+    u = np.asarray(u, float)
+    if u.size and np.fmin.reduce(u, axis=None) < 0:
+        raise ParameterError(f"{name} is defined on u >= 0 only")
+    return u
 
 
 def eval_psi(mech: Mechanism, u):
@@ -627,10 +634,7 @@ def eval_psi(mech: Mechanism, u):
         if u < 0:
             raise ParameterError("psi is defined on u >= 0 only")
         return float(mech._psi(u))
-    u = np.asarray(u, float)
-    if (u < 0).any():
-        raise ParameterError("psi is defined on u >= 0 only")
-    out = mech._psi(u)
+    out = mech._psi(_nonnegative(u, "psi"))
     return out if out.ndim else float(out)
 
 
@@ -641,18 +645,13 @@ def eval_psi0(mech: Mechanism, u):
         if u < 0:
             raise ParameterError("psi0 is defined on u >= 0 only")
         return float(mech._psi0(u))
-    u = np.asarray(u, float)
-    if (u < 0).any():
-        raise ParameterError("psi0 is defined on u >= 0 only")
-    out = mech._psi0(u)
+    out = mech._psi0(_nonnegative(u, "psi0"))
     return out if np.ndim(out) else float(out)
 
 
 def eval_capital_phi(mech: Mechanism, u):
     """Phi(u) = psi0(u)/u, the nondecreasing conservativity functional."""
-    u = np.asarray(u, float)
-    if np.any(u < 0):
-        raise ParameterError("Phi is defined on u >= 0 only")
+    u = _nonnegative(u, "Phi")
     if np.any(u == 0) and eval_psi(mech, 0.0) < 0:
         raise ParameterError("Phi(0) = -infinity when q > 0")
     pos = np.where(u > 0, u, 1.0)

@@ -226,6 +226,31 @@ class TestConditionedConstants:
         assert a.regime == "weakly_supercritical"
         assert abs(a.constant - 6.983809314054095) <= 1e-9
 
+    @pytest.mark.parametrize("args,want", [
+        ((1.0, 80.5, 1.0, 1.0), 79.0),
+        ((1.0, 40.5, 0.5, 0.5), 2.580801544644362),
+    ])
+    def test_strongly_supercritical_within_gamma_range_unchanged(self, args, want):
+        # eta = -160: Gamma(1/beta - eta - 1) and Gamma(-eta) are each finite,
+        # and the values are those of the two separate Gamma calls
+        a = asympt_conditioned_constant(1.0, derive_env(*args))
+        assert a.regime == "strongly_supercritical"
+        assert abs(a.constant / want - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("args,want", [
+        # beta = 1: -z k (eta + 2) = 0.5 * 198
+        ((1.0, 100.5, 1.0, 1.0), 99.0),
+        # -z k (eta + 2) / beta * I(1/beta - eta - 1) / I(-eta), with
+        # I(a) = int x^(a-1) e^(-x - z k x^(1/beta)) dx by mpmath at 40 digits
+        ((1.0, 50.5, 0.5, 5.0), 122.24855684368906733),
+    ])
+    def test_strongly_supercritical_past_gamma_range(self, args, want):
+        # eta = -200: both Gammas overflow a double, their ratio does not
+        env = derive_env(*args)
+        assert env.eta == -200.0
+        a = asympt_conditioned_constant(1.0, env)
+        assert abs(a.constant / want - 1.0) <= 1e-12
+
     def test_weakly_duality_to_rounding(self):
         # h = e^{-kx}(1 - e^{-k d}) with d formed without cancellation keeps
         # the weakly pairs at rounding level as the phi_eta weights reach

@@ -216,6 +216,25 @@ class TestDormandPrince:
         solve_backward_batch(Stable(0.5, 0.5, 1.0), 1.0, 1.0, grid, K, "K", tol=1e-10)
         assert len(calls) <= 7 * 1000
 
+    def test_psi_calls_where_steps_halve(self, monkeypatch):
+        # 100 paths x 1,000 segments at lambda = 10, tol 1e-11: segments near
+        # s = t try up to 32 steps.  One call for f at t, then six per step
+        # tried, so the count pins the step controller's tries
+        calls = []
+        real = flow.eval_psi
+        monkeypatch.setattr(flow, "eval_psi", lambda m, u: calls.append(1) or real(m, u))
+        grid, K = sample_env_paths(1.0, -0.5, 1.0, 1000, 24, 100)
+        solve_backward_batch(Feller(0.5, 1.0), 10.0, 1.0, grid, K, "K", tol=1e-11)
+        assert len(calls) == 8059
+
+    @pytest.mark.parametrize("mech", [Feller(0.5, 1.0), Stable(0.5, 0.5, 1.0)])
+    def test_row_permutation_permutes_the_output(self, mech):
+        grid, K = sample_env_paths(1.0, -0.5, 1.0, 1000, 24, 100)
+        perm = np.random.default_rng(3).permutation(100)
+        out, _ = solve_backward_batch(mech, 10.0, 1.0, grid, K, "K", tol=1e-11)
+        out_p, _ = solve_backward_batch(mech, 10.0, 1.0, grid, K[perm], "K", tol=1e-11)
+        np.testing.assert_array_equal(out_p, out[perm])
+
     def test_unknown_flavor_rejected(self):
         grid, K = sample_env_paths(1.0, -0.5, 1.0, 10, 20, 2)
         with pytest.raises(ParameterError, match="flavor"):

@@ -85,6 +85,48 @@ class TestFloatRoute:
                 eval_psi0(mech, -0.5)
 
 
+_IMMIGRATION = ImmigrationMechanism(0.3, StableImmigration(0.5, 2.0))
+
+
+def _evaluators():
+    """psi, psi0, phi and Phi as functions of u, on every mechanism whose
+    value they define at u = 0 (Phi(0) is -infinity when q > 0)."""
+    out = [pytest.param(lambda u, m=m, f=f: f(m, u), id=f"{f.__name__}-{i}")
+           for i, m in enumerate(_FLOAT_MECHS)
+           for f in (eval_psi, eval_psi0, eval_capital_phi)
+           if f is eval_psi or not (m.infinite_mean
+                                    or f is eval_capital_phi and eval_psi(m, 0.0) < 0)]
+    return out + [pytest.param(_IMMIGRATION.eval_phi, id="eval_phi")]
+
+
+class TestArrayArgument:
+    """The array branch of the four evaluators checks u >= 0 as u < 0 does."""
+
+    @pytest.mark.parametrize("f", _evaluators())
+    def test_one_negative_entry_rejected(self, f):
+        u = np.array([0.5, 2.0, -1e-300, 3.0])
+        with pytest.raises(ParameterError, match="u >= 0"):
+            f(u)
+        with pytest.raises(ParameterError, match="u >= 0"):
+            f(np.array([np.nan, -1.0]))  # a NaN does not hide a negative entry
+
+    @pytest.mark.parametrize("f", _evaluators())
+    def test_nan_and_negative_zero_pass(self, f):
+        with np.errstate(invalid="ignore"):
+            out = f(np.array([np.nan, -0.0, 1.0]))
+        assert out.shape == (3,) and out[2] == f(1.0)
+
+    @pytest.mark.parametrize("f", _evaluators())
+    def test_empty_array_gives_empty_array(self, f):
+        out = f(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize("f", _evaluators())
+    def test_zero_dimensional_array_gives_float(self, f):
+        out = f(np.array(0.7))
+        assert type(out) is float and out == f(np.array([0.7]))[0]
+
+
 class TestPsi0:
     def test_feller(self):
         assert eval_psi0(Feller(0.3, 1.0), 2.0) == pytest.approx(4.0)
