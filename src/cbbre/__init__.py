@@ -2,9 +2,10 @@
 
 Subpackages by concern:
 
-* ``mechanisms``  - branching mechanisms, environment parameters, regimes
+* ``mechanisms``  - branching mechanisms and their closed forms,
+                    environment parameters, regimes
 * ``environment`` - environment paths, exponential functionals, densities
-* ``flow``        - backward Laplace-exponent equation and closed forms
+* ``flow``        - backward Laplace-exponent equation, conditional probabilities
 * ``simulate``    - pathwise SDE simulation with event detection
 * ``longterm``    - survival/explosion/extinction probabilities, asymptotics
 * ``conditioned`` - Q-process and the process conditioned on extinction

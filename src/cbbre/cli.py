@@ -245,8 +245,6 @@ def _run_immigration(cfg: ExperimentConfig, out: Path):
     if env is None or not 0.0 < env.beta < 1.0:
         raise ConfigError("immigration experiments need a stable mechanism with "
                           "beta in (0, 1)", "mechanism")
-    if "beta" in exp or "c" in exp:
-        raise ConfigError("beta and c come from the mechanism block", "experiment")
     beta, c = env.beta, env.c
     z = float(exp.get("z", 1.0))
     lam = float(exp.get("lam", 1.0))
@@ -280,24 +278,16 @@ def _run_immigration(cfg: ExperimentConfig, out: Path):
 
 
 def _suite_closed_forms(seed: int):
-    from .flow import (closed_form_feller, closed_form_neveu, closed_form_stable,
-                       solve_backward)
+    from .flow import solve_backward
 
     checks = []
-    for name, mech, cf in [
-        ("feller", Feller(0.5, 1.0),
-         lambda e: closed_form_feller(1.0, 1.0, e, 0.5, 1.0)),
-        ("stable+", Stable(0.5, 0.5, 1.0),
-         lambda e: closed_form_stable(1.0, 1.0, e, 0.5, 1.0, 0.5)),
-        ("stable-", Stable(0.5, -0.5, -1.0),
-         lambda e: closed_form_stable(1.0, 1.0, e, -0.5, -1.0, 0.5)),
-        ("neveu", Neveu(), lambda e: closed_form_neveu(1.0, 1.0, e)),
-    ]:
+    for name, mech in [("feller", Feller(0.5, 1.0)), ("stable+", Stable(0.5, 0.5, 1.0)),
+                       ("stable-", Stable(0.5, -0.5, -1.0)), ("neveu", Neveu())]:
         worst = 0.0
         for s in range(5):
             env = sample_env_path(1.0, -0.5, 1.0, 1000, seed + s, flavor="K")
             sol = solve_backward(mech, 1.0, 1.0, env)
-            worst = max(worst, abs(sol.initial - cf(env)))
+            worst = max(worst, abs(sol.initial - mech.closed_form(1.0, 1.0, env)))
         checks.append({"check": f"ode-vs-closed-form/{name}", "worst_gap": worst,
                        "tol": 1e-6, "pass": worst <= 1e-6})
     return checks

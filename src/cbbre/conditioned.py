@@ -39,6 +39,7 @@ from .mechanisms import (
     Feller,
     ImmigrationMechanism,
     Mechanism,
+    Stable,
     StableImmigration,
     classify_regime,
 )
@@ -214,6 +215,9 @@ def asympt_conditioned_constant(z: float, env: EnvParams) -> AsymptoticConstant:
     reg = classify_regime(env).conditioned
     b, s, kk, eta = env.beta, env.sigma, env.k, env.eta
     ustar = U_star(z, env)
+    if ustar == 0.0:
+        raise RegimeError(f"the {reg.value} constant divides by U_*(z), which underflows "
+                          f"to 0 at beta = {b}, eta = {eta}")
     if reg is ConditionedRegime.WEAKLY_SUPERCRITICAL:
         const = 8.0 / (b**3 * s**3 * ustar) * _gamma_h_integral(z, env, *_phi_weights(-eta))
         return AsymptoticConstant(reg.value, 1.5, env.m**2 / (2.0 * s**2), const, "quadrature")
@@ -271,8 +275,6 @@ def qprocess_as_cbibre(env: EnvParams) -> QprocessCbibre:
         mech: Mechanism = Feller(alpha_q, c)
         imm = ImmigrationMechanism(d=2.0 * c, nu=None)
     else:
-        from .mechanisms import Stable
-
         mech = Stable(alpha_q, b, c)
         imm = ImmigrationMechanism(d=0.0, nu=StableImmigration(b, c * (b + 1.0)))
     return QprocessCbibre(mech, imm, env.sigma)

@@ -32,8 +32,18 @@ from .mechanisms import (
 
 __all__ = ["ExperimentConfig", "load_config", "mechanism_from_dict", "immigration_from_dict"]
 
-EXPERIMENT_KINDS = ("simulate", "survival", "explosion", "asymptotics",
-                    "qprocess", "conditioned", "immigration", "verify")
+#: the keys each experiment kind reads besides ``kind``
+_EXPERIMENT_KEYS = {
+    "simulate": ("z0", "T", "n_paths", "record_times"),
+    "survival": ("z", "t_grid", "method", "n_paths"),
+    "explosion": ("z", "t_grid", "method", "n_paths"),
+    "asymptotics": ("z", "trend_ts"),
+    "qprocess": ("z0", "t_grid", "n_paths"),
+    "conditioned": ("z", "t", "n_paths"),
+    "immigration": ("z", "lam", "t", "kappa", "n_steps", "check_ode", "longterm", "n_paths"),
+    "verify": ("suite",),
+}
+EXPERIMENT_KINDS = tuple(_EXPERIMENT_KEYS)
 
 
 def mechanism_from_dict(d: dict) -> Mechanism:
@@ -122,6 +132,13 @@ def load_config(doc: dict) -> ExperimentConfig:
     if exp.get("kind") not in EXPERIMENT_KINDS:
         raise ConfigError(f"experiment.kind must be one of {EXPERIMENT_KINDS}",
                           "experiment.kind")
+    known = _EXPERIMENT_KEYS[exp["kind"]]
+    for key in exp:
+        if exp["kind"] == "immigration" and key in ("beta", "c"):
+            raise ConfigError("beta and c come from the mechanism block", "experiment")
+        if key != "kind" and key not in known:
+            raise ConfigError(f"unknown key; known keys are {sorted(known)}",
+                              f"experiment.{key}")
     numerics = _NUMERIC_DEFAULTS | dict(doc.get("numerics", {}))
     for key, val in numerics.items():
         if key not in _NUMERIC_DEFAULTS:

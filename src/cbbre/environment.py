@@ -10,7 +10,8 @@ model of the closed forms and the solver), and ``log_exp_functional`` is the
 trapezoid, first-order unbiased for the Brownian functional that Monte Carlo
 estimates (the README's numerical notes say why).  Both scale each path by
 its largest term: supercritical parameter sets push the integrand across
-hundreds of orders of magnitude.
+hundreds of orders of magnitude.  ``weighted_exp_decay_integral`` gives
+the Neveu closed form's exponent int e^(-u) K_u du on the same linear path.
 
 The analytic side of the module evaluates the law of
 
@@ -55,6 +56,7 @@ __all__ = [
     "exp_linear_suffix",
     "integral_exp_linear",
     "suffix_integral_exp_linear",
+    "weighted_exp_decay_integral",
     "dufresne_law",
     "my_density",
     "my_density_grid",
@@ -336,6 +338,21 @@ def suffix_integral_exp_linear(grid, w):
 def integral_exp_linear(grid, w):
     """int exp(w(u)) du with w piecewise linear on the grid (exact)."""
     return float(suffix_integral_exp_linear(grid, w)[0])
+
+
+def weighted_exp_decay_integral(grid, w):
+    """Arrays of int_s^T exp(-u) w(u) du for piecewise-linear w (exact)."""
+    g = np.asarray(grid, float)
+    W = np.atleast_2d(np.asarray(w, float))
+    # int (a+b u) e^{-u} du = -(a + b + b u) e^{-u}
+    b = np.diff(W, axis=1) / np.diff(g)
+    a = W[:, :-1] - b * g[:-1]
+    anti_lo = -(a + b + b * g[:-1]) * np.exp(-g[:-1])
+    anti_hi = -(a + b + b * g[1:]) * np.exp(-g[1:])
+    seg = anti_hi - anti_lo
+    out = np.zeros_like(W)
+    out[:, :-1] = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
+    return out if np.ndim(w) == 2 else out[0]
 
 
 def exp_functional(path: EnvPath, theta: float) -> ExpFunctional:

@@ -7,19 +7,22 @@ v_t(s, lambda, delta) solves the backward equation
 
 (with psi replaced by psi0 on K0-flavored paths).  The module provides a
 vectorized Dormand-Prince 5(4) solver that carries its step count from one
-environment segment to the next, the Neveu / Feller / stable closed forms,
-and the conditional survival and explosion probabilities they imply.  A
-single path, as every ``solve_backward`` call has, takes the same steps on
-Python floats: there numpy's cost per call, several microseconds per psi
-evaluation, would outweigh the arithmetic.  The solvers look psi up in
-this module (``eval_psi``, ``eval_psi0``) once per solve, so a wrapper
-installed before a solve sees every psi call it makes.
+environment segment to the next, and the conditional Laplace transform,
+survival and explosion probabilities, from a mechanism's closed form where
+it has one.  A single path, as every ``solve_backward`` call has, takes the
+same steps on Python floats: there numpy's cost per call, several
+microseconds per psi evaluation, would outweigh the arithmetic.  The
+solvers look psi up in this module (``eval_psi``, ``eval_psi0``) once per
+solve, so a wrapper installed before a solve sees every psi call it makes.
 
 The declared path model is linear interpolation of the environment between
-grid points.  Closed-form path functionals integrate exp(linear) segments
-exactly (``environment.exp_linear_suffix``; ``integral_exp_linear`` and
-``suffix_integral_exp_linear`` are re-exported here), so solver and closed
-form approximate the *same* problem and can be compared at solver accuracy.
+grid points.  The closed forms (``mechanisms.closed_form_neveu``,
+``closed_form_feller``, ``closed_form_stable``, re-exported here) integrate
+their path functionals exactly on that model (``environment``'s
+``exp_linear_suffix`` and ``weighted_exp_decay_integral``; the latter,
+``integral_exp_linear`` and ``suffix_integral_exp_linear`` are re-exported
+here too), so solver and closed form approximate the *same* problem and can
+be compared at solver accuracy.
 """
 from __future__ import annotations
 
@@ -29,10 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import (EnvPath, exp_linear_suffix, integral_exp_linear,
-                          suffix_integral_exp_linear)
+from .environment import (EnvPath, integral_exp_linear, suffix_integral_exp_linear,
+                          weighted_exp_decay_integral)
 from .errors import ParameterError, SolverError, UnsupportedMechanismError
-from .mechanisms import Feller, Mechanism, Stable, eval_psi, eval_psi0
+from .mechanisms import (Feller, Mechanism, Stable, closed_form_feller, closed_form_neveu,
+                         closed_form_stable, eval_psi, eval_psi0)
 
 logger = logging.getLogger(__name__)
 
@@ -60,26 +64,6 @@ V_BLOWUP = 1e12
 
 
 # ---------------------------------------------------------------------------
-# Exact path functionals under the linear-interpolation path model
-# ---------------------------------------------------------------------------
-
-
-def weighted_exp_decay_integral(grid, w):
-    """Arrays of int_s^T exp(-u) w(u) du for piecewise-linear w (exact)."""
-    g = np.asarray(grid, float)
-    W = np.atleast_2d(np.asarray(w, float))
-    # int (a+b u) e^{-u} du = -(a + b + b u) e^{-u}
-    b = np.diff(W, axis=1) / np.diff(g)
-    a = W[:, :-1] - b * g[:-1]
-    anti_lo = -(a + b + b * g[:-1]) * np.exp(-g[:-1])
-    anti_hi = -(a + b + b * g[1:]) * np.exp(-g[1:])
-    seg = anti_hi - anti_lo
-    out = np.zeros_like(W)
-    out[:, :-1] = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
-    return out if np.ndim(w) == 2 else out[0]
-
-
-# ---------------------------------------------------------------------------
 # Backward solver
 # ---------------------------------------------------------------------------
 
@@ -96,7 +80,7 @@ class FlowSolution:
     @property
     def initial(self) -> float:
         """v_t(0, lambda, delta)."""
-        return float(self.values[0] if self.values.ndim == 1 else self.values[0, 0])
+        return float(self.values[0])
 
 
 def _rhs_factory(mech: Mechanism, flavor: str, one_path: bool = False):
@@ -346,71 +330,6 @@ def solve_backward(mech: Mechanism, lam: float, t: float, env: EnvPath,
     vals, blowup = solve_backward_batch(mech, lam, t, env.grid, env.values,
                                         env.flavor, tol)
     return FlowSolution(t, lam, env.grid, vals[0], env, blowup)
-
-
-# ---------------------------------------------------------------------------
-# Closed forms
-# ---------------------------------------------------------------------------
-
-
-def _check_flavor_grid(env: EnvPath, t: float):
-    if abs(env.T - t) > 1e-12 * max(1.0, t):
-        raise ParameterError("environment grid must end at the horizon t")
-
-
-def closed_form_neveu(lam: float, t: float, env: EnvPath) -> float:
-    """v_t(0, lambda) for the Neveu mechanism: lambda^{e^-t} exp(int e^-u K_u du)."""
-    if lam <= 0:
-        raise ParameterError("the Neveu closed form requires lambda > 0")
-    if env.flavor != "K":
-        raise ParameterError("the Neveu mechanism has infinite mean: use a K-flavored path")
-    _check_flavor_grid(env, t)
-    J = weighted_exp_decay_integral(env.grid, env.values)[0]
-    return float(np.exp(J + math.exp(-t) * math.log(lam)))
-
-
-def closed_form_feller(lam: float, t: float, env: EnvPath, alpha: float,
-                       gamma2: float) -> float:
-    """v_t(0, lambda) for the Feller mechanism; lam = inf is accepted.
-
-    This is the stable form at beta = 1 with c = gamma2; gamma2 = 0 is the
-    pure drift.
-    """
-    if lam != 0.0 and gamma2 != 0.0:
-        return closed_form_stable(lam, t, env, 1.0, gamma2, alpha)
-    _check_flavor_grid(env, t)
-    if not lam or env.flavor != "K":
-        return lam
-    if alpha * t < 700.0:
-        return lam * math.exp(alpha * t)
-    with np.errstate(over="ignore"):  # past the largest double, v rounds to inf
-        return float(np.exp(math.log(lam) + alpha * t))
-
-
-def closed_form_stable(lam: float, t: float, env: EnvPath, beta: float,
-                       c: float, alpha: float) -> float:
-    """v_t(0, lambda) for the stable mechanism.
-
-    Limits: lam = inf is the extinction functional (beta > 0); lam = 0 is
-    the explosion functional (beta < 0).
-    """
-    _check_flavor_grid(env, t)
-    if np.isinf(lam) and beta < 0:
-        raise ParameterError("lambda = inf is not a supported limit for beta < 0")
-    if lam == 0.0 and beta > 0:
-        raise ParameterError("lambda = 0 gives v = 0 for beta > 0 (conservative)")
-    if beta * c <= 0:
-        raise ParameterError("invalid parameter combination: sign(c) must equal sign(beta)")
-    # v = (lam_eff^-beta + beta c A)^(-1/beta), A = int e^{-beta D}, summed in
-    # log space so that neither A nor e^{alpha t} overflows; D_u is K_u + alpha u
-    # on a K-flavored path and K0_u on a K0-flavored one (the same path)
-    D = env.values + alpha * env.grid if env.flavor == "K" else env.values
-    S, top = exp_linear_suffix(env.grid, -beta * D)
-    log_inner = math.log(beta * c * S[0]) + top
-    if 0.0 < lam < math.inf:
-        log_lam = math.log(lam) + (alpha * t if env.flavor == "K" else 0.0)
-        log_inner = np.logaddexp(log_inner, -beta * log_lam)
-    return float(np.exp(-log_inner / beta))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ from .environment import (EnvPath, _env_path_map, _mc_estimate, integral_exp_lin
                           log_exp_functional)
 from .errors import ParameterError, UnsupportedMechanismError
 from .flow import solve_backward
-from .mechanisms import EnvParams, ImmigrationMechanism, Mechanism, StableImmigration
+from .mechanisms import EnvParams, ImmigrationMechanism, Mechanism, Stable, StableImmigration
 from .numerics import _gamma_rule
+from .simulate import SimConfig, simulate_cbibre_batch
 
 __all__ = [
     "ImmigrationMechanism",
@@ -128,9 +129,6 @@ def cbibre_longterm(z: float, env: EnvParams, beta: float, c: float,
         limit = _stable_cbi_limit_transform(z, lam, env.m, env.sigma, beta, c, kappa)
         return CbibreLongterm("converges", limit, ests, [], lam, z)
     # m <= 0: medians of simulated Z_T must grow
-    from .mechanisms import Stable
-    from .simulate import SimConfig, simulate_cbibre_batch
-
     mech = Stable(env.alpha, beta, c)
     imm = ImmigrationMechanism(d=0.0, nu=StableImmigration(beta, kappa))
     medians = []

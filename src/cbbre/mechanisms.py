@@ -7,14 +7,17 @@ A branching mechanism is the convex function
 specified here either through one of the named families (Neveu, Feller,
 stable-with-drift) or through a tabulated jump measure.  Each is a subclass
 of ``Mechanism`` that answers everything the package asks of a mechanism
-(psi and its kin, its flags, its SDE coefficients and jump law, its closed
-form, its exact transition law given the environment, its config block);
-no other module tests a mechanism's type.  The immigration measures answer
-phi and their jump law the same way.
+(psi and its kin, psi'(0+), its flags, its SDE coefficients and jump law,
+its closed form, its exact transition law given the environment, its config
+block); no other module tests a mechanism's type or restates one of its
+facts.  The closed forms of the Neveu, Feller and stable families
+(``closed_form_neveu``, ``closed_form_feller``, ``closed_form_stable``) sit
+next to their classes; ``flow`` re-exports them.  The immigration measures
+answer phi and their jump law the same way.
 
 Environment parameters collect the volatility sigma of the Brownian
-environment together with the drift alpha of the mechanism and the derived
-quantities
+environment together with the parameters (alpha, beta, c) of a stable
+mechanism, whose domain ``Stable`` checks, and the derived quantities
 
     m   = alpha - sigma^2/2          (general finite-mean: -psi'(0+) - sigma^2/2)
     eta = -2 m / (beta sigma^2)
@@ -33,7 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .environment import integral_exp_linear, log_exp_functional
+from .environment import (EnvPath, exp_linear_suffix, integral_exp_linear,
+                          log_exp_functional, weighted_exp_decay_integral)
 from .errors import ParameterError, UnsupportedMechanismError
 
 __all__ = [
@@ -41,6 +45,9 @@ __all__ = [
     "Neveu",
     "Feller",
     "Stable",
+    "closed_form_neveu",
+    "closed_form_feller",
+    "closed_form_stable",
     "TabulatedMeasure",
     "GeneralCB",
     "JumpLaw",
@@ -184,7 +191,8 @@ class Mechanism:
     the SDE coefficients and the config block; the defaults suit
     psi(u) = -alpha*u + ... without jumps or closed form."""
 
-    #: psi'(0+) = -infinity
+    #: psi'(0+) = -infinity; the simulator then records K, otherwise K0
+    #: with drift -psi'(0+) - sigma^2/2
     infinite_mean = False
     #: E[e^{-lambda Z_t}] -> 1 as lambda -> 0: no explosion, no killing
     conservative = True
@@ -195,16 +203,9 @@ class Mechanism:
             raise UnsupportedMechanismError("psi'(0+) = -infinity for this mechanism")
         return -self.alpha
 
-    def largest_root(self) -> float:
-        """Largest root of psi on [0, infinity): the classical extinction
-        exponent of the zero-environment process, unrelated to the
-        environment quantity ``EnvParams.eta``."""
-        raise UnsupportedMechanismError("largest root exposed for Feller/stable (beta>0) only")
-
     def sde_coefficients(self):
-        """(sde_drift, gamma2, flavor, mean_growth) of the simulated SDE;
-        ``mean_growth`` = -psi'(0+) drives a K0-flavored path, and is None
-        for infinite-mean mechanisms, whose recorded path is K."""
+        """(drift, gamma2) of the simulated SDE
+        dZ = drift Z dt + sigma Z dB^e + sqrt(2 gamma2 Z) dB + jumps."""
         raise NotImplementedError
 
     def jump_law(self, eps: float) -> JumpLaw | StableLaw | None:
@@ -217,7 +218,7 @@ class Mechanism:
     #: interval from its transition law given the environment, or is None.
     #: ``z``: the states at the start; ``env`` yields ``(rows, K)`` blocks that
     #: together cover every path once, K[i, j] being the recorded environment
-    #: (K or K0, as ``sde_coefficients`` says) after j steps of ``dt`` less its
+    #: (K or K0, as ``infinite_mean`` says) after j steps of ``dt`` less its
     #: value at the start; ``rng`` draws the demographic noise, one call over
     #: all paths per variate; ``d`` is the linear immigration rate.  Returns
     #: ``(z_end, dk, hit)``: ``dk`` is K[:, -1] of every path, and ``hit`` the
@@ -252,12 +253,9 @@ class Neveu(Mechanism):
     def _psi0(self, u):
         raise UnsupportedMechanismError("psi0 undefined for the Neveu mechanism")
 
-    def largest_root(self) -> float:
-        return 1.0
-
     def sde_coefficients(self):
         # psi(u) = -a u + ... with a = -NEVEU_DRIFT: the SDE drift is a Z
-        return -NEVEU_DRIFT, 0.0, "K", None
+        return -NEVEU_DRIFT, 0.0
 
     def jump_law(self, eps):
         # mu(dx) = x^-2 dx: Pareto sizes eps/U of index 1 above eps,
@@ -267,16 +265,12 @@ class Neveu(Mechanism):
         return JumpLaw(1.0 / eps, lambda rng, n: eps / rng.random(n), -comp, eps)
 
     def closed_form(self, lam, t, env):
-        from .flow import closed_form_neveu
-
         return closed_form_neveu(lam, t, env)
 
     def exact_step(self, z, env, dt, rng, d=0.0):
         # over h = steps*dt, Z_h e^(-K_h) = (z e^J)^(e^h) S with J the segment
         # exponent int_0^h e^-u K_u du of the closed form and S positive
         # stable of index e^-h: E[e^(-lam S)] = exp(-lam^(e^-h))
-        from .flow import weighted_exp_decay_integral
-
         if d:
             raise UnsupportedMechanismError("immigration requires a finite-mean mechanism")
         J, k_end = np.empty(z.size), np.empty(z.size)
@@ -291,6 +285,22 @@ class Neveu(Mechanism):
 
     def to_dict(self):
         return {"kind": "neveu"}
+
+
+def _check_flavor_grid(env: EnvPath, t: float):
+    if abs(env.T - t) > 1e-12 * max(1.0, t):
+        raise ParameterError("environment grid must end at the horizon t")
+
+
+def closed_form_neveu(lam: float, t: float, env: EnvPath) -> float:
+    """v_t(0, lambda) for the Neveu mechanism: lambda^{e^-t} exp(int e^-u K_u du)."""
+    if lam <= 0:
+        raise ParameterError("the Neveu closed form requires lambda > 0")
+    if env.flavor != "K":
+        raise ParameterError("the Neveu mechanism has infinite mean: use a K-flavored path")
+    _check_flavor_grid(env, t)
+    J = weighted_exp_decay_integral(env.grid, env.values)[0]
+    return float(np.exp(J + math.exp(-t) * math.log(lam)))
 
 
 @dataclass(frozen=True)
@@ -310,15 +320,10 @@ class Feller(Mechanism):
     def _psi0(self, u):
         return self.gamma2 * u**2
 
-    def largest_root(self) -> float:
-        return self.alpha / self.gamma2 if self.alpha > 0 and self.gamma2 > 0 else 0.0
-
     def sde_coefficients(self):
-        return self.alpha, self.gamma2, "K0", self.alpha
+        return self.alpha, self.gamma2
 
     def closed_form(self, lam, t, env):
-        from .flow import closed_form_feller
-
         return closed_form_feller(lam, t, env, self.alpha, self.gamma2)
 
     def exact_step(self, z, env, dt, rng, d=0.0):
@@ -366,6 +371,24 @@ class Feller(Mechanism):
         return {"kind": "feller", "alpha": self.alpha, "gamma2": self.gamma2}
 
 
+def closed_form_feller(lam: float, t: float, env: EnvPath, alpha: float,
+                       gamma2: float) -> float:
+    """v_t(0, lambda) for the Feller mechanism; lam = inf is accepted.
+
+    This is the stable form at beta = 1 with c = gamma2; gamma2 = 0 is the
+    pure drift.
+    """
+    if lam != 0.0 and gamma2 != 0.0:
+        return closed_form_stable(lam, t, env, 1.0, gamma2, alpha)
+    _check_flavor_grid(env, t)
+    if not lam or env.flavor != "K":
+        return lam
+    if alpha * t < 700.0:
+        return lam * math.exp(alpha * t)
+    with np.errstate(over="ignore"):  # past the largest double, v rounds to inf
+        return float(np.exp(math.log(lam) + alpha * t))
+
+
 @dataclass(frozen=True)
 class Stable(Mechanism):
     """psi(u) = -alpha*u + c*u^(1+beta), beta in (-1,0) u (0,1], sign(c)=sign(beta)."""
@@ -397,15 +420,8 @@ class Stable(Mechanism):
             raise UnsupportedMechanismError("psi0 undefined for beta < 0 (infinite mean)")
         return self.c * u ** (1.0 + self.beta)
 
-    def largest_root(self) -> float:
-        if self.beta < 0:
-            return super().largest_root()
-        return (self.alpha / self.c) ** (1.0 / self.beta) if self.alpha > 0 else 0.0
-
     def sde_coefficients(self):
-        if self.beta < 0:
-            return self.alpha, 0.0, "K", None
-        return self.alpha, self.c if self.beta == 1.0 else 0.0, "K0", self.alpha
+        return self.alpha, self.c if self.beta == 1.0 else 0.0
 
     @property
     def exact_step(self):  # at beta = 1 psi is Feller's, and so is its exact law
@@ -419,8 +435,6 @@ class Stable(Mechanism):
         return StableLaw(1.0 + self.beta, self.c)
 
     def closed_form(self, lam, t, env):
-        from .flow import closed_form_stable
-
         return closed_form_stable(lam, t, env, self.beta, self.c, self.alpha)
 
     def stable_params(self):
@@ -428,6 +442,32 @@ class Stable(Mechanism):
 
     def to_dict(self):
         return {"kind": "stable", "alpha": self.alpha, "beta": self.beta, "c": self.c}
+
+
+def closed_form_stable(lam: float, t: float, env: EnvPath, beta: float,
+                       c: float, alpha: float) -> float:
+    """v_t(0, lambda) for the stable mechanism.
+
+    Limits: lam = inf is the extinction functional (beta > 0); lam = 0 is
+    the explosion functional (beta < 0).
+    """
+    _check_flavor_grid(env, t)
+    if np.isinf(lam) and beta < 0:
+        raise ParameterError("lambda = inf is not a supported limit for beta < 0")
+    if lam == 0.0 and beta > 0:
+        raise ParameterError("lambda = 0 gives v = 0 for beta > 0 (conservative)")
+    if beta * c <= 0:
+        raise ParameterError("invalid parameter combination: sign(c) must equal sign(beta)")
+    # v = (lam_eff^-beta + beta c A)^(-1/beta), A = int e^{-beta D}, summed in
+    # log space so that neither A nor e^{alpha t} overflows; D_u is K_u + alpha u
+    # on a K-flavored path and K0_u on a K0-flavored one (the same path)
+    D = env.values + alpha * env.grid if env.flavor == "K" else env.values
+    S, top = exp_linear_suffix(env.grid, -beta * D)
+    log_inner = math.log(beta * c * S[0]) + top
+    if 0.0 < lam < math.inf:
+        log_lam = math.log(lam) + (alpha * t if env.flavor == "K" else 0.0)
+        log_inner = np.logaddexp(log_inner, -beta * log_lam)
+    return float(np.exp(-log_inner / beta))
 
 
 @dataclass(frozen=True)
@@ -548,7 +588,7 @@ class GeneralCB(Mechanism):
         return self._slope
 
     def sde_coefficients(self):
-        return self.a, self.gamma2, "K0", -self._slope
+        return self.a, self.gamma2
 
     def jump_law(self, eps):
         # mu's jumps >= eps, compensated below 1: the drift removes the mean of
@@ -666,7 +706,8 @@ def eval_capital_phi(mech: Mechanism, u):
 
 @dataclass(frozen=True)
 class EnvParams:
-    """Environment volatility plus stable-mechanism parameters and deriveds."""
+    """Environment volatility plus stable-mechanism parameters and deriveds;
+    (alpha, beta, c) must make a ``Stable`` mechanism."""
 
     sigma: float
     alpha: float
@@ -679,10 +720,7 @@ class EnvParams:
     def __post_init__(self):
         if self.sigma <= 0:
             raise ParameterError("sigma must be positive")
-        if self.beta == 0:
-            raise ParameterError("beta must be nonzero")
-        if self.c == 0 or math.copysign(1.0, self.c) != math.copysign(1.0, self.beta):
-            raise ParameterError("c must share the sign of beta")
+        Stable(self.alpha, self.beta, self.c)  # checks beta and c
         object.__setattr__(self, "m", self.alpha - 0.5 * self.sigma**2)
         object.__setattr__(self, "eta", -2.0 * self.m / (self.beta * self.sigma**2))
         base = self.beta * self.sigma**2 / (2.0 * self.c)

@@ -17,8 +17,8 @@ scheme wherever it applies, that is, with no nu-immigration jumps and no
 
 Euler (``"euler-full-truncation"``) is explicit with full truncation: all
 coefficients are evaluated at max(Z, 0), so states may briefly dip below
-zero but are clamped back each step.  The mechanism supplies the SDE
-coefficients (``Mechanism.sde_coefficients``) and, for the branching jumps
+zero but are clamped back each step.  The mechanism supplies the drift and
+gamma2 of the SDE (``Mechanism.sde_coefficients``) and, for the branching jumps
 and the immigration measure alike, a jump law whose ``increment(rng, mass,
 dt)`` draws one step's jumps for every path.  The stable family (``Stable``
 and ``StableImmigration``) has a ``StableLaw``: with the state frozen, a
@@ -33,7 +33,10 @@ simulation grid.
 
 In both schemes the environment increments are drawn once per step and
 shared between the state and the returned environment path, so formula
-evaluators can be compared pathwise against the same realization.
+evaluators can be compared pathwise against the same realization.  That
+path is K for an infinite-mean mechanism and K0, with drift
+-psi'(0+) - sigma^2/2, for every other, as the mechanism's
+``infinite_mean`` and ``psi_prime_at_zero`` say.
 """
 from __future__ import annotations
 
@@ -123,12 +126,10 @@ class SimBatch:
 _STEP_BLOCK = 8  # steps of driving noise transposed at a time
 
 
-def _run_chunk(mech, sigma, z0, T, cfg, n, gen, record_idx, imm, scheme,
+def _run_chunk(mech, sigma, z0, T, cfg, n, gen, record_idx, imm, scheme, k_drift,
                driving=None):
-    """n paths by ``scheme``: Z and the environment at the steps
-    ``record_idx``, absorption and explosion times."""
-    flavor, mean_growth = mech.sde_coefficients()[2:]
-    k_drift = (0.0 if flavor == "K" else mean_growth) - 0.5 * sigma**2
+    """n paths by ``scheme``: Z and the environment, of drift ``k_drift``,
+    at the steps ``record_idx``, absorption and explosion times."""
     n_steps = int(round(T / cfg.dt))
     dt = T / n_steps
     absorbing = imm is None or imm.trivial
@@ -151,7 +152,7 @@ def _run_chunk(mech, sigma, z0, T, cfg, n, gen, record_idx, imm, scheme,
             j = rec_map[step_i]
             z_rec[:, j] = z
             k_rec[:, j] = k_env
-    return z_rec, k_rec, t0, t_inf, flavor
+    return z_rec, k_rec, t0, t_inf
 
 
 def _exact_states(mech, sigma, z, gen, imm, dt, stops, k_drift, t0):
@@ -177,7 +178,7 @@ def _euler_states(mech, sigma, z, cfg, gen, imm, dt, n_steps, k_drift, absorbing
                   t0, t_inf, driving):
     """``(step, Z, K)`` after each Euler step, absorption and explosion times
     into ``t0`` and ``t_inf``."""
-    alpha, gamma2 = mech.sde_coefficients()[:2]
+    alpha, gamma2 = mech.sde_coefficients()
     n = z.size
     sq_dt = math.sqrt(dt)
     jumps = mech.jump_law(cfg.eps_jump)
@@ -298,25 +299,23 @@ def simulate_cbbre_batch(mech: Mechanism, sigma: float, z0: float, T: float,
         )
     record_idx, times = _resolve_record(T, cfg, record_times)
     scheme = _resolve_scheme(mech, imm, cfg, driving)
-    flavor = mech.sde_coefficients()[2]
+    flavor, growth = ("K", 0.0) if mech.infinite_mean else ("K0", -mech.psi_prime_at_zero())
+    k_drift = growth - 0.5 * sigma**2
     if scheme == EULER:
         # Euler holds the chunk's (paths x steps) noise: bound its size
         n_steps = int(round(T / cfg.dt))
         chunk = max(1000, min(chunk, int(2.5e7 / max(n_steps, 1))))
     if driving is not None:
         gen = _rng.stream(cfg.seed, 1)
-        z, k, t0, ti, flavor = _run_chunk(mech, sigma, z0, T, cfg,
-                                          driving[0].shape[0], gen, record_idx,
-                                          imm, scheme, driving)
-        results = [(z, k, t0, ti)]
+        results = [_run_chunk(mech, sigma, z0, T, cfg, driving[0].shape[0], gen,
+                              record_idx, imm, scheme, k_drift, driving)]
     else:
         chunks = _rng.chunk_streams(cfg.seed, n_paths, chunk)
 
         def work(args):
             gen, m = args
-            z, k, t0, ti, _ = _run_chunk(mech, sigma, z0, T, cfg, m, gen, record_idx,
-                                         imm, scheme)
-            return z, k, t0, ti
+            return _run_chunk(mech, sigma, z0, T, cfg, m, gen, record_idx, imm, scheme,
+                              k_drift)
 
         if workers > 1 and len(chunks) > 1:
             from concurrent.futures import ThreadPoolExecutor

@@ -63,6 +63,17 @@ class TestConfig:
         assert main(["asymptotics", "--config", str(write_cfg(tmp_path, doc))]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment, key", [
+        ({"kind": "simulate", "T": 0.1, "n_path": 50}, "n_path"),  # ran 1,000 paths
+        ({"kind": "survival", "z": 1.0, "t": 2.0}, "t"),  # conditioned's key
+    ])
+    def test_unknown_experiment_key(self, tmp_path, experiment, key):
+        doc = dict(BASE) | {"experiment": experiment, "out": str(tmp_path / "out")}
+        with pytest.raises(ConfigError, match=rf"^experiment\.{key}:"):
+            load_config(doc)
+        assert main([experiment["kind"], "--config", str(write_cfg(tmp_path, doc))]) == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestCli:
     def test_asymptotics_constant(self, tmp_path):

@@ -251,6 +251,14 @@ class TestConditionedConstants:
         a = asympt_conditioned_constant(1.0, env)
         assert abs(a.constant / want - 1.0) <= 1e-12
 
+    def test_underflowing_u_star_raises_regime_error(self):
+        # eta = -200, k = 0.25: U_*(1) ~ e^(-10^4) is 0 in double precision
+        with pytest.raises(RegimeError, match=r"strongly_supercritical.*U_\*.*underflows"):
+            asympt_conditioned_constant(1.0, derive_env(1.0, 50.5, 0.5, 0.5))
+        # k = 0.0025 keeps U_* in range and the constant as it was
+        got = asympt_conditioned_constant(1.0, derive_env(1.0, 50.5, 0.5, 5.0)).constant
+        assert got == pytest.approx(122.24855684367995, rel=1e-13)
+
     def test_weakly_duality_to_rounding(self):
         # h = e^{-kx}(1 - e^{-k d}) with d formed without cancellation keeps
         # the weakly pairs at rounding level as the phi_eta weights reach

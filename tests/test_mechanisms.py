@@ -6,6 +6,7 @@ import pytest
 from cbbre.errors import ParameterError, UnsupportedMechanismError
 from cbbre.mechanisms import (
     EPS_REGIME,
+    NEVEU_DRIFT,
     ConditionedRegime,
     EnvParams,
     ExplosionRegime,
@@ -34,12 +35,6 @@ class TestEvalPsi:
 
     def test_neveu_at_zero(self):
         assert eval_psi(Neveu(), 0.0) == 0.0
-
-    def test_feller_largest_root_is_zero_of_psi(self):
-        mech = Feller(0.7, 2.0)
-        root = mech.largest_root()
-        assert root == pytest.approx(0.35)
-        assert eval_psi(mech, root) == pytest.approx(0.0, abs=1e-14)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ParameterError):
@@ -208,19 +203,20 @@ class TestMechanismAnswers:
                 mech.stable_params()
 
     def test_sde_coefficients(self):
-        assert Feller(0.3, 2.0).sde_coefficients() == (0.3, 2.0, "K0", 0.3)
-        assert Stable(0.3, 1.0, 2.0).sde_coefficients() == (0.3, 2.0, "K0", 0.3)
-        assert Stable(0.3, -0.5, -2.0).sde_coefficients() == (0.3, 0.0, "K", None)
-        assert Neveu().sde_coefficients()[2:] == ("K", None)
+        assert Feller(0.3, 2.0).sde_coefficients() == (0.3, 2.0)
+        assert Stable(0.3, 1.0, 2.0).sde_coefficients() == (0.3, 2.0)
+        assert Stable(0.3, 0.5, 2.0).sde_coefficients() == (0.3, 0.0)
+        assert Stable(0.3, -0.5, -2.0).sde_coefficients() == (0.3, 0.0)
+        assert Neveu().sde_coefficients() == (-NEVEU_DRIFT, 0.0)
+        assert GeneralCB(0.0, 0.2, 1.5).sde_coefficients() == (0.2, 1.5)
 
     def test_general_mean_growth_counts_large_jumps(self):
         x = np.linspace(0.5, 2.0, 301)
         mech = GeneralCB(0.0, 0.2, 1.0, TabulatedMeasure(x, np.ones_like(x)))
-        growth = mech.sde_coefficients()[3]
+        growth = -mech.psi_prime_at_zero()
         # a + int_1^2 x dx, and h/2 = 0.0025 more: the grid point x = 1 is an
         # atom with its full node weight h, half of it from the cell below 1
         assert growth == pytest.approx(0.2 + 1.5, abs=0.005)
-        assert growth == -mech.psi_prime_at_zero()
 
     def test_jump_laws(self):
         assert Feller(0.3, 1.0).jump_law(1e-3) is None
@@ -275,6 +271,15 @@ class TestDeriveEnv:
     def test_invalid_sigma(self):
         with pytest.raises(ParameterError):
             derive_env(0.0, 1.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("beta, c", [(2.0, 1.0), (-1.5, -1.0), (-1.0, -1.0), (0.0, 1.0),
+                                         (0.5, 0.0), (-0.5, 0.0), (0.5, -1.0), (-0.5, 1.0)])
+    def test_outside_the_stable_domain(self, beta, c):
+        # the domain is Stable's: beta in (-1, 0) u (0, 1], c nonzero with beta's sign
+        with pytest.raises(ParameterError):
+            derive_env(1.0, 1.0, beta, c)
+        with pytest.raises(ParameterError):
+            EnvParams(1.0, 0.2, beta, c)
 
     def test_from_mechanism(self):
         env = EnvParams.from_mechanism(Feller(0.3, 2.0), 1.5)

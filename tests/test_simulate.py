@@ -511,6 +511,35 @@ class TestSchemes:
         noise = np.zeros((20, 10))
         assert run(Feller(0.2, 1.0), driving=(noise, noise)) == EULER
 
+    @pytest.mark.parametrize("mech", [
+        Feller(0.3, 1.0), Stable(0.4, 0.5, 1.0),
+        GeneralCB(0.0, 0.3, 0.5, _tabulated(0.5, 0.1, 4.0))],
+        ids=["feller", "stable", "general"])
+    def test_finite_mean_records_k0_with_drift_minus_psi_prime(self, mech):
+        # sigma = 0: K0_t = -psi'(0+) t on every path
+        b = simulate_cbbre_batch(mech, 0.0, 1.0, 1.0, SimConfig(dt=0.01, seed=3), 20,
+                                 record_times=[0.5, 1.0])
+        assert b.env_flavor == "K0"
+        np.testing.assert_allclose(b.env_values, np.tile(-mech.psi_prime_at_zero() * b.times,
+                                                         (20, 1)), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mech", [Neveu(), Stable(0.4, -0.5, -1.0)],
+                             ids=["neveu", "stable-negative"])
+    def test_infinite_mean_records_k(self, mech):
+        # sigma = 0: K has no drift, whatever the mechanism's
+        b = simulate_cbbre_batch(mech, 0.0, 1.0, 1.0, SimConfig(dt=0.01, seed=3), 20,
+                                 record_times=[0.5, 1.0])
+        assert b.env_flavor == "K"
+        assert (b.env_values == 0.0).all()
+
+    def test_feller_without_noise_is_its_mean(self):
+        # gamma2 = 0: the exact sampler's Z_t is z0 e^(K0_t) on every path
+        b = simulate_cbbre_batch(Feller(0.3, 0.0), 1.0, 2.0, 1.0, SimConfig(dt=0.01, seed=4),
+                                 200, record_times=[0.25, 0.5, 1.0])
+        assert b.scheme == "exact"
+        assert np.isnan(b.t0).all()
+        np.testing.assert_allclose(b.z, 2.0 * np.exp(b.env_values), rtol=1e-12, atol=0.0)
+
     def test_stable_at_beta_one_runs_fellers_exact_step(self):
         # Stable(alpha, 1, c) is Feller(alpha, c): the same sampler, the same paths
         runs = [simulate_cbbre_batch(mech, 1.0, 1.0, 1.0, SimConfig(dt=0.01, seed=1), 2000)
